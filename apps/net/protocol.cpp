@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -37,6 +38,49 @@ bool take_number(const JsonValue& doc, const char* key, double* out,
   }
   *out = v.number();
   return true;
+}
+
+/// Largest wire integer: every integer up to 2^53 survives the trip through
+/// a JSON double exactly.
+constexpr double kMaxWireInteger = 9007199254740992.0;
+/// Priorities stay far from INT_MIN/INT_MAX so the server's fair-share bias
+/// can be added without overflow.
+constexpr double kMaxPriority = 1073741824.0;  // 2^30
+/// Largest deadline_ms: half of what a steady_clock duration holds, so
+/// now + deadline cannot overflow either (about 146 thousand years).
+constexpr double kMaxDeadlineMs =
+    std::chrono::duration<double, std::milli>(
+        std::chrono::steady_clock::duration::max())
+        .count() /
+    2.0;
+
+/// Integer fields travel as JSON numbers. Present means: a number, integral,
+/// within [lo, hi]; casting an out-of-range double to an integer is
+/// undefined behaviour, so the range check comes before the cast. Absent
+/// leaves *out untouched.
+template <typename Int>
+bool take_integer(const JsonValue& doc, const char* key, double lo, double hi,
+                  Int* out, std::string* error) {
+  if (!doc.contains(key)) return true;
+  double v = 0.0;
+  if (!take_number(doc, key, &v, error)) return false;
+  if (!(v >= lo && v <= hi) || v != std::floor(v)) {
+    if (error)
+      *error = std::string("field '") + key + "' must be an integer in [" +
+               core::json_number(lo) + ", " + core::json_number(hi) + "]";
+    return false;
+  }
+  *out = static_cast<Int>(v);
+  return true;
+}
+
+/// The `id` every frame must carry.
+bool take_id(const JsonValue& doc, std::uint64_t* out, std::string* error) {
+  if (!doc.contains("id")) {
+    if (error) *error = "missing 'id'";
+    return false;
+  }
+  return take_integer(doc, "id", 0.0, kMaxWireInteger, out, error);
 }
 
 bool take_bool(const JsonValue& doc, const char* key, bool* out,
@@ -156,13 +200,7 @@ std::optional<Request> decode_request(const std::string& frame,
   if (!doc) return std::nullopt;
 
   Request req;
-  double id = -1.0;
-  if (!take_number(*doc, "id", &id, error)) return std::nullopt;
-  if (id < 0.0) {
-    if (error) *error = "missing or negative 'id'";
-    return std::nullopt;
-  }
-  req.id = static_cast<std::uint64_t>(id);
+  if (!take_id(*doc, &req.id, error)) return std::nullopt;
   if (!take_string(*doc, "method", &req.method, error)) return std::nullopt;
   if (req.method.empty()) {
     if (error) *error = "missing 'method'";
@@ -195,16 +233,20 @@ std::optional<Request> decode_request(const std::string& frame,
     req.params = params;
   }
 
-  double priority = 0.0;
-  if (!take_number(*doc, "priority", &priority, error)) return std::nullopt;
-  req.priority = static_cast<int>(priority);
+  if (!take_integer(*doc, "priority", -kMaxPriority, kMaxPriority,
+                    &req.priority, error))
+    return std::nullopt;
 
   if (doc->contains("deadline_ms")) {
     double deadline = 0.0;
     if (!take_number(*doc, "deadline_ms", &deadline, error))
       return std::nullopt;
-    if (!(deadline > 0.0)) {
-      if (error) *error = "field 'deadline_ms' must be > 0";
+    // Rejects NaN and +inf too: the server turns this into a
+    // Clock::duration, where a non-finite or huge value is undefined.
+    if (!(deadline > 0.0 && deadline <= kMaxDeadlineMs)) {
+      if (error)
+        *error = "field 'deadline_ms' must be > 0 and <= " +
+                 core::json_number(kMaxDeadlineMs);
       return std::nullopt;
     }
     req.deadline_ms = deadline;
@@ -248,13 +290,7 @@ std::optional<Response> decode_response(const std::string& frame,
   if (!doc) return std::nullopt;
 
   Response resp;
-  double id = -1.0;
-  if (!take_number(*doc, "id", &id, error)) return std::nullopt;
-  if (id < 0.0) {
-    if (error) *error = "missing or negative 'id'";
-    return std::nullopt;
-  }
-  resp.id = static_cast<std::uint64_t>(id);
+  if (!take_id(*doc, &resp.id, error)) return std::nullopt;
 
   std::string status_name;
   if (!take_string(*doc, "status", &status_name, error)) return std::nullopt;
@@ -267,9 +303,9 @@ std::optional<Response> decode_response(const std::string& frame,
 
   if (!take_string(*doc, "summary", &resp.summary, error))
     return std::nullopt;
-  double attempts = 0.0;
-  if (!take_number(*doc, "attempts", &attempts, error)) return std::nullopt;
-  resp.attempts = static_cast<std::uint64_t>(attempts);
+  if (!take_integer(*doc, "attempts", 0.0, kMaxWireInteger, &resp.attempts,
+                    error))
+    return std::nullopt;
   if (!take_bool(*doc, "degraded", &resp.degraded, error))
     return std::nullopt;
   if (!take_bool(*doc, "coalesced", &resp.coalesced, error))

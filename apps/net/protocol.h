@@ -56,7 +56,10 @@
 // Parsing is strict about the types of known fields and silent about unknown
 // ones (forward compatibility across shard versions); decode_* return
 // nullopt with a diagnostic instead of throwing, since every byte here
-// crossed a trust boundary.
+// crossed a trust boundary. Numbers bound for integers or durations are
+// range-checked before any conversion: `id` and `attempts` must be integers
+// in [0, 2^53], `priority` an integer in [-2^30, 2^30], and `deadline_ms`
+// finite, > 0, and small enough for a steady_clock duration.
 #pragma once
 
 #include <cstdint>

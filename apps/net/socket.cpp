@@ -191,14 +191,17 @@ FrameRead read_frame(Socket& sock, std::string* out, std::size_t max_bytes) {
 bool write_frame(Socket& sock, std::string_view payload) {
   if (payload.size() > 0xFFFFFFFFull) return false;
   const auto n = static_cast<std::uint32_t>(payload.size());
-  unsigned char prefix[4] = {static_cast<unsigned char>(n >> 24),
-                             static_cast<unsigned char>(n >> 16),
-                             static_cast<unsigned char>(n >> 8),
-                             static_cast<unsigned char>(n)};
-  // One send per part; TCP_NODELAY is set, but the prefix+payload pair still
-  // coalesces in the socket buffer under load.
-  return sock.write_all(prefix, sizeof prefix) &&
-         sock.write_all(payload.data(), payload.size());
+  // Prefix and payload leave in one send: with TCP_NODELAY set, two sends
+  // cost two segments and two receiver wake-ups per frame, paid by whichever
+  // thread writes the reply (a scheduler worker, for rebootd).
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  frame += static_cast<char>(n >> 24);
+  frame += static_cast<char>(n >> 16);
+  frame += static_cast<char>(n >> 8);
+  frame += static_cast<char>(n);
+  frame += payload;
+  return sock.write_all(frame.data(), frame.size());
 }
 
 }  // namespace rebooting::net

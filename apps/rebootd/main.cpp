@@ -27,11 +27,13 @@ void on_signal(int) { g_stop.store(true); }
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host H] [--port P] [--cpu-workers N]\n"
-               "          [--queue-capacity N] [--high-water N] [--pumps N]\n"
-               "          [--coalesce-ms F] [--retries N] [--engines]\n"
-               "          [--quota-rate F --quota-burst F]\n"
+               "          [--queue-capacity N] [--high-water N] [--retries N]\n"
+               "          [--engines] [--quota-rate F --quota-burst F]\n"
                "Port 0 (default) picks an ephemeral port; the bound port is\n"
-               "printed on stdout as 'rebootd listening on HOST:PORT'.\n",
+               "printed on stdout as 'rebootd listening on HOST:PORT'.\n"
+               "Replies are written by the worker that finishes each job;\n"
+               "identical submits coalesce while the first is in flight\n"
+               "(a request opts out with no_coalesce).\n",
                argv0);
   std::exit(2);
 }
@@ -61,10 +63,6 @@ int main(int argc, char** argv) {
       config.queue_capacity = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
     } else if (!std::strcmp(arg, "--high-water")) {
       config.admission_high_water = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
-    } else if (!std::strcmp(arg, "--pumps")) {
-      config.pump_threads = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
-    } else if (!std::strcmp(arg, "--coalesce-ms")) {
-      config.coalesce_window_ms = number_arg(argc, argv, i, argv[0]);
     } else if (!std::strcmp(arg, "--retries")) {
       config.retry_attempts = static_cast<std::size_t>(number_arg(argc, argv, i, argv[0]));
     } else if (!std::strcmp(arg, "--quota-rate")) {

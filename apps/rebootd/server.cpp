@@ -113,9 +113,6 @@ bool Server::start(std::string* error) {
   }
   port_ = listener_.port();
   accept_thread_ = std::thread([this] { accept_loop(); });
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, config_.pump_threads);
-       ++i)
-    pumps_.emplace_back([this, i] { pump_loop(i); });
   {
     std::lock_guard lock(watch_mutex_);
     watch_closed_ = false;
@@ -154,20 +151,11 @@ void Server::stop() {
   watch_cv_.notify_all();
   if (watch_thread_.joinable()) watch_thread_.join();
 
-  // 3. Settle every accepted job: in-flight work finishes, queued work is
-  //    flushed (kFlushed -> kShuttingDown on the wire). After this, every
-  //    Pending future is ready.
+  // 3. Settle every accepted job: in-flight work finishes and replies from
+  //    its worker, queued work is flushed and replies from this thread
+  //    (kFlushed -> kShuttingDown on the wire). After this, every accepted
+  //    submit has been answered.
   scheduler_.shutdown();
-
-  // 4. Drain the pumps; they exit once the deque is empty and closed.
-  {
-    std::lock_guard lock(pending_mutex_);
-    pending_closed_ = true;
-  }
-  pending_cv_.notify_all();
-  for (auto& pump : pumps_)
-    if (pump.joinable()) pump.join();
-  pumps_.clear();
 }
 
 void Server::accept_loop() {
@@ -240,8 +228,8 @@ void Server::reader_loop(std::shared_ptr<Connection> conn,
     if (!handle_frame(conn, frame)) break;
   }
   // Note: the reader does NOT mark the connection closed — during stop() the
-  // read side is shut down while pumps still owe responses on the write
-  // side. `open` flips only when a write actually fails.
+  // read side is shut down while completions still owe responses on the
+  // write side. `open` flips only when a write actually fails.
   TELEM_GAUGE("net.connections_active",
               static_cast<core::Real>(
                   active_connections_.fetch_sub(1, std::memory_order_relaxed) -
@@ -374,39 +362,6 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  Waiter waiter;
-  waiter.conn = conn;
-  waiter.wire_id = req.id;
-  waiter.trace_id = req.trace_id;
-  waiter.received = now;
-  waiter.tenant = req.tenant;
-
-  // Coalescing: ride an identical in-window submit instead of re-running it.
-  std::string key;
-  if (!req.no_coalesce && config_.coalesce_window_ms > 0.0) {
-    key = net::coalesce_key(req);
-    std::lock_guard map_lock(coalesce_mutex_);
-    const auto it = coalesce_.find(key);
-    if (it != coalesce_.end() &&
-        std::chrono::duration<double, std::milli>(now - it->second.created_at)
-                .count() <= config_.coalesce_window_ms) {
-      std::lock_guard fanout_lock(it->second.fanout->mutex);
-      if (!it->second.fanout->closed) {
-        waiter.coalesced = true;
-        it->second.fanout->waiters.push_back(std::move(waiter));
-        TELEM_COUNT("net.coalesced");
-        return;  // the leader's pump completion answers this waiter too
-      }
-    }
-  }
-
-  auto fanout = std::make_shared<Fanout>();
-  fanout->waiters.push_back(std::move(waiter));
-  if (!key.empty()) {
-    std::lock_guard map_lock(coalesce_mutex_);
-    coalesce_[key] = CoalesceEntry{fanout, now};
-  }
-
   sched::JobOptions opts;
   opts.priority = req.priority + admission.priority_bias;
   if (req.deadline_ms)
@@ -423,119 +378,72 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     // same-client repeats, same argument as coalesce_key().
     opts.memo_key = core::to_string(req.kind) + '\x1f' + req.work + '\x1f' +
                     core::json_dump(req.params);
+  } else if (!req.no_coalesce) {
+    // Identical submits in flight share one job, but nothing is cached.
+    opts.coalesce_key = net::coalesce_key(req);
   }
 
-  Pending pending;
-  pending.fanout = std::move(fanout);
-  pending.key = std::move(key);
-  pending.rid = rid;
-  pending.flow = req.trace_id != 0 ? req.trace_id : rid;
-  pending.remote = req.trace_id != 0;
-  pending.kind = req.kind;
+  // "net.request" flow-chain id: the client's trace_id when it carried one,
+  // else the server-local rid. A remote chain gets a flow *step* at reply
+  // time (the client's recv closes it), a local one gets the flow end.
+  const bool remote = req.trace_id != 0;
+  const std::uint64_t flow = remote ? req.trace_id : rid;
+  auto done = [this, conn, id = req.id, trace_id = req.trace_id,
+               tenant = req.tenant, kind = req.kind, received = now, flow,
+               remote](sched::JobOutcome&& outcome) {
+    TELEM_TRACE_SCOPE("net.reply");
+    TELEM_TRACE_FLOW_STEP("net.request", flow);
+    net::Response resp;
+    resp.id = id;
+    resp.trace_id = trace_id;
+    resp.coalesced = outcome.rode;
+    if (outcome.thrown) {
+      resp.status = net::Status::kError;
+      try {
+        std::rethrow_exception(outcome.thrown);
+      } catch (const std::exception& e) {
+        resp.summary = e.what();
+      } catch (...) {
+        resp.summary = "payload threw a non-standard exception";
+      }
+    } else {
+      core::JobResult& result = outcome.result;
+      resp.status = status_of(result);
+      resp.summary = std::move(result.summary);
+      resp.attempts = result.attempts;
+      resp.degraded = result.degraded;
+      resp.wall_seconds = result.wall_seconds;
+      resp.metrics = std::move(result.metrics);
+      if (resp.status == net::Status::kOverloaded)
+        resp.retry_after_ms = overload_retry_hint(kind);
+    }
+    if (outcome.rode) TELEM_COUNT("net.coalesced");
+    send_response(conn, resp);
+    TELEM_RECORD("net.request_seconds",
+                 std::chrono::duration<core::Real>(Clock::now() - received)
+                     .count());
+    governor_.release(tenant);
+    // A remote chain is closed by the client's recv; ending it here too
+    // would give the flow two heads in the merged view.
+    if (remote)
+      TELEM_TRACE_FLOW_STEP("net.request", flow);
+    else
+      TELEM_TRACE_FLOW_END("net.request", flow);
+  };
+
   try {
     TELEM_TRACE_SCOPE("net.enqueue");
-    TELEM_TRACE_FLOW_STEP("net.request", pending.flow);
-    pending.future = scheduler_.submit(
-        req.tenant + "/" + req.work, req.kind, std::move(*payload), opts);
+    TELEM_TRACE_FLOW_STEP("net.request", flow);
+    scheduler_.submit(req.tenant + "/" + req.work, req.kind,
+                      std::move(*payload), std::move(opts), std::move(done));
   } catch (const std::exception& e) {
-    // Shutdown raced the running_ check; answer every waiter typed.
-    net::Response resp;
-    resp.status = net::Status::kShuttingDown;
-    resp.summary = e.what();
-    std::lock_guard fanout_lock(pending.fanout->mutex);
-    pending.fanout->closed = true;
-    for (const Waiter& w : pending.fanout->waiters) {
-      resp.id = w.wire_id;
-      resp.trace_id = w.trace_id;
-      resp.coalesced = w.coalesced;
-      send_response(w.conn, resp);
-      governor_.release(w.tenant);
-    }
-    if (!pending.key.empty()) {
-      std::lock_guard map_lock(coalesce_mutex_);
-      coalesce_.erase(pending.key);
-    }
-    return;
+    // Shutdown raced the running_ check; the completion never runs, so
+    // answer typed here.
+    reject.status = net::Status::kShuttingDown;
+    reject.summary = e.what();
+    send_response(conn, reject);
+    governor_.release(req.tenant);
   }
-
-  {
-    std::lock_guard lock(pending_mutex_);
-    pending_.push_back(std::move(pending));
-  }
-  pending_cv_.notify_one();
-}
-
-void Server::pump_loop(std::size_t index) {
-  telemetry::TraceRecorder::instance().set_thread_name(
-      "net pump " + std::to_string(index));
-  for (;;) {
-    Pending pending;
-    {
-      std::unique_lock lock(pending_mutex_);
-      pending_cv_.wait(lock,
-                       [this] { return pending_closed_ || !pending_.empty(); });
-      if (pending_.empty()) return;  // closed and drained
-      pending = std::move(pending_.front());
-      pending_.pop_front();
-    }
-    complete(std::move(pending));
-  }
-}
-
-void Server::complete(Pending&& pending) {
-  TELEM_TRACE_SCOPE("net.reply");
-  TELEM_TRACE_FLOW_STEP("net.request", pending.flow);
-
-  net::Response base;
-  try {
-    const core::JobResult result = pending.future.get();
-    base.status = status_of(result);
-    base.summary = result.summary;
-    base.attempts = result.attempts;
-    base.degraded = result.degraded;
-    base.wall_seconds = result.wall_seconds;
-    base.metrics = result.metrics;
-    if (base.status == net::Status::kOverloaded)
-      base.retry_after_ms = overload_retry_hint(pending.kind);
-  } catch (const std::exception& e) {
-    base.status = net::Status::kError;
-    base.summary = e.what();
-  }
-
-  // Retire the coalescer entry *before* closing the fanout (map lock first,
-  // matching handle_submit), so a new identical request starts a fresh job
-  // instead of attaching to this closed one.
-  if (!pending.key.empty()) {
-    std::lock_guard map_lock(coalesce_mutex_);
-    const auto it = coalesce_.find(pending.key);
-    if (it != coalesce_.end() && it->second.fanout == pending.fanout)
-      coalesce_.erase(it);
-  }
-
-  std::vector<Waiter> waiters;
-  {
-    std::lock_guard lock(pending.fanout->mutex);
-    pending.fanout->closed = true;
-    waiters = std::move(pending.fanout->waiters);
-  }
-  const auto now = Clock::now();
-  for (const Waiter& waiter : waiters) {
-    net::Response resp = base;
-    resp.id = waiter.wire_id;
-    resp.trace_id = waiter.trace_id;
-    resp.coalesced = waiter.coalesced;
-    send_response(waiter.conn, resp);
-    TELEM_RECORD(
-        "net.request_seconds",
-        std::chrono::duration<core::Real>(now - waiter.received).count());
-    governor_.release(waiter.tenant);
-  }
-  // A remote chain is closed by the client's recv; ending it here too would
-  // give the flow two heads in the merged view.
-  if (pending.remote)
-    TELEM_TRACE_FLOW_STEP("net.request", pending.flow);
-  else
-    TELEM_TRACE_FLOW_END("net.request", pending.flow);
 }
 
 void Server::send_response(const std::shared_ptr<Connection>& conn,

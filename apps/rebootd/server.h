@@ -1,42 +1,45 @@
 // The rebootd daemon core: a sched::Scheduler wrapped in the wire protocol
 // of apps/net, embeddable in-process (tests, benches) or behind main().
 //
-// Thread architecture — no stage ever blocks another stage's progress:
+// Thread architecture:
 //
 //   accept loop (1)    poll-based; hands each connection a reader thread.
 //                      Admission problems never reach this thread.
 //   readers (1/conn)   read_frame -> decode -> admission (quota, then
-//                      queue high-water) -> coalesce -> Scheduler::submit.
-//                      Submission uses kReject backpressure, so a reader
-//                      never sleeps on a full queue: the overload answer is
-//                      a typed frame, written immediately.
-//   pumps (N)          bridge the scheduler's std::future completions back
-//                      to sockets: block on future.get(), map the
-//                      JobDisposition to a wire Status, fan the response out
-//                      to every coalesced waiter (per-connection write
-//                      mutex; a reader and a pump may share a socket).
+//                      queue high-water) -> Scheduler::submit with a
+//                      completion. Submission uses kReject backpressure, so
+//                      a reader never sleeps on a full queue: the overload
+//                      answer is a typed frame, written immediately.
+//   completions        each submit's JobCompletion maps the JobDisposition
+//                      to a wire Status and writes the reply on the thread
+//                      that settled the job: a scheduler worker, the reader
+//                      for immediate outcomes (rejection, memo hit), or
+//                      stop() for flushed jobs. A reply never waits behind
+//                      an unrelated job. Writes take the per-connection
+//                      write mutex; a client that stops reading can block
+//                      the worker answering it on its full socket buffer.
 //   watch pump (1)     pushes periodic metrics frames (telemetry::Sampler
 //                      ticks) to every `watch` subscriber; at stop() it owes
 //                      each subscriber one terminal frame.
 //
 // Accounting invariant: every frame that decodes into a request gets exactly
-// one response, including during stop() — the ordered teardown (stop
-// accepting -> unblock readers -> scheduler shutdown flushes queued jobs as
-// kFlushed -> pumps drain every remaining future) turns in-flight work into
-// kShuttingDown responses instead of dropping it.
+// one response, including during stop() — the scheduler runs every accepted
+// job's completion exactly once, and the ordered teardown (stop accepting ->
+// unblock readers -> scheduler shutdown finishes in-flight jobs and flushes
+// queued ones as kFlushed) turns queued work into kShuttingDown responses
+// instead of dropping it.
 //
-// Coalescing: identical submits (net::coalesce_key) arriving within
-// coalesce_window_ms share one scheduler job; every waiter gets its own
-// response frame (coalesced=true for the riders). The window keys on the
-// *leader's* arrival, so a hot key cannot chain a window forever.
+// Coalescing: a submit without no_coalesce carries
+// JobOptions::coalesce_key = net::coalesce_key(req), so identical submits
+// share one scheduler job *while the leader is in flight* (the scheduler's
+// single-flight registry, shared with `memo` submits' memo_key). Every
+// waiter gets its own response frame; riders carry coalesced=true.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -63,9 +66,7 @@ struct ServerConfig {
   /// the depth check and the enqueue (which then surface as kRejected, the
   /// same wire status).
   std::size_t admission_high_water = 0;
-  std::size_t pump_threads = 2;
   std::size_t max_frame_bytes = net::kMaxFrameBytes;
-  double coalesce_window_ms = 5.0;
   /// RetryPolicy for submitted workloads; all workloads are self-contained,
   /// so cpu_fallback is always enabled.
   std::size_t retry_attempts = 3;
@@ -87,7 +88,8 @@ class Server {
   void add_pool(core::AcceleratorKind kind, std::size_t workers,
                 const core::AcceleratorFactory& factory);
 
-  /// Binds, spawns the accept loop and pumps. False on bind failure.
+  /// Binds, spawns the accept loop and the watch pump. False on bind
+  /// failure.
   bool start(std::string* error = nullptr);
   std::uint16_t port() const { return port_; }
 
@@ -104,50 +106,12 @@ class Server {
   const ServerConfig& config() const { return config_; }
 
  private:
-  /// One accepted socket, shared by its reader thread and every pump that
-  /// still owes it a response. The fd closes when the last owner drops.
+  /// One accepted socket, shared by its reader thread and every completion
+  /// that still owes it a response. The fd closes when the last owner drops.
   struct Connection {
     net::Socket socket;
     std::mutex write_mutex;
     std::atomic<bool> open{true};
-  };
-
-  /// One response owed: which connection, which wire id, when it arrived.
-  struct Waiter {
-    std::shared_ptr<Connection> conn;
-    std::uint64_t wire_id = 0;
-    /// The waiter's own distributed trace context (0 = none), echoed in its
-    /// response frame. Coalesced riders keep their own ids even though the
-    /// flow chain follows the leader's.
-    std::uint64_t trace_id = 0;
-    Clock::time_point received{};
-    bool coalesced = false;
-    std::string tenant;
-  };
-
-  /// The waiters sharing one scheduler job. closed flips (under mutex) when
-  /// the pump starts fanning out, so late attach attempts start a new job.
-  struct Fanout {
-    std::mutex mutex;
-    bool closed = false;
-    std::vector<Waiter> waiters;
-  };
-
-  /// Pump work item: one scheduler future plus its fanout.
-  struct Pending {
-    std::future<core::JobResult> future;
-    std::shared_ptr<Fanout> fanout;
-    std::string key;  ///< coalescer entry to retire ("" = uncoalesced)
-    std::uint64_t rid = 0;
-    /// "net.request" flow-chain id: the client's trace_id when the leader
-    /// carried one, else the server-local rid. `remote` distinguishes the
-    /// two at complete(): a remote chain gets a flow *step* at reply time
-    /// (the client's recv closes it), a local one gets the flow end here.
-    std::uint64_t flow = 0;
-    bool remote = false;
-    /// Which pool the job went to — needed to derive the retry_after_ms
-    /// hint if the scheduler itself answers kOverloaded.
-    core::AcceleratorKind kind = core::AcceleratorKind::kClassicalCpu;
   };
 
   struct ReaderSlot {
@@ -167,7 +131,6 @@ class Server {
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn, std::uint64_t conn_id);
-  void pump_loop(std::size_t index);
   /// Pushes periodic metrics frames to every watch subscriber; on shutdown,
   /// sends each one its terminal (non-streaming) kShuttingDown frame so the
   /// one-response-per-request accounting closes for streams too.
@@ -190,8 +153,6 @@ class Server {
   double overload_retry_hint(core::AcceleratorKind kind) const;
   void send_response(const std::shared_ptr<Connection>& conn,
                      const net::Response& resp);
-  /// Completes one fanout from a settled future (or exception).
-  void complete(Pending&& pending);
   void reap_readers(bool all);
 
   ServerConfig config_;
@@ -212,24 +173,11 @@ class Server {
   std::mutex readers_mutex_;
   std::list<ReaderSlot> readers_;
 
-  std::mutex pending_mutex_;
-  std::condition_variable pending_cv_;
-  std::deque<Pending> pending_;
-  bool pending_closed_ = false;
-  std::vector<std::thread> pumps_;
-
   std::mutex watch_mutex_;
   std::condition_variable watch_cv_;
   std::vector<WatchSub> watchers_;
   bool watch_closed_ = false;
   std::thread watch_thread_;
-
-  std::mutex coalesce_mutex_;
-  struct CoalesceEntry {
-    std::shared_ptr<Fanout> fanout;
-    Clock::time_point created_at{};
-  };
-  std::map<std::string, CoalesceEntry> coalesce_;
 };
 
 }  // namespace rebooting::rebootd

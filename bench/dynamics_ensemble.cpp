@@ -15,13 +15,14 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/json.h"
-#include "core/ode.h"
+#include "core/dynamics.h"
 #include "core/table.h"
 #include "memcomputing/dmm.h"
 #include "memcomputing/sat.h"
@@ -64,12 +65,22 @@ bool sweeps_identical(const DmmEnsembleResult& a, const DmmEnsembleResult& b) {
 }
 
 /// Static-vs-dynamic dispatch on a pure stepping workload: the same decay
-/// system driven through the templated kernel and through the std::function
-/// adapter. Returns ns per RHS-state element.
+/// system driven through the templated kernel and through a kernel that
+/// forwards to a std::function. Returns ns per RHS-state element.
 struct DecayKernel {
   void rhs(core::Real, std::span<const core::Real> y,
            std::span<core::Real> dydt) const {
     for (std::size_t i = 0; i < y.size(); ++i) dydt[i] = -y[i];
+  }
+};
+
+struct FunctionKernel {
+  std::function<void(core::Real, std::span<const core::Real>,
+                     std::span<core::Real>)>
+      fn;
+  void rhs(core::Real t, std::span<const core::Real> y,
+           std::span<core::Real> dydt) const {
+    fn(t, y, dydt);
   }
 };
 
@@ -86,13 +97,15 @@ std::pair<core::Real, core::Real> dispatch_microbench() {
                         std::span<core::Real>(y), ws);
   const core::Real kernel_s = seconds_since(start);
 
-  const core::OdeRhs fn = [](core::Real, std::span<const core::Real> yy,
-                             std::span<core::Real> dydt) {
+  // The same RHS behind a std::function: one indirect call per evaluation.
+  FunctionKernel fn{[](core::Real, std::span<const core::Real> yy,
+                       std::span<core::Real> dydt) {
     for (std::size_t i = 0; i < yy.size(); ++i) dydt[i] = -yy[i];
-  };
+  }};
   std::vector<core::Real> y2(kDim, 1.0);
   start = Clock::now();
-  core::integrate_fixed(fn, core::Scheme::kHeun, 0.0, kT1, kDt, y2);
+  core::integrate_fixed(fn, core::Scheme::kHeun, 0.0, kT1, kDt,
+                        std::span<core::Real>(y2), ws);
   const core::Real fn_s = seconds_since(start);
 
   const auto steps = static_cast<core::Real>(kT1 / kDt);

@@ -128,7 +128,6 @@ int main(int argc, char** argv) {
   rebootd::ServerConfig config;
   config.cpu_workers = 2;
   config.queue_capacity = 512;
-  config.pump_threads = 2;
   rebootd::Server server(config);
   std::string error;
   if (!server.start(&error)) {

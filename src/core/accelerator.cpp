@@ -17,6 +17,21 @@ std::string to_string(AcceleratorKind kind) {
   return "unknown";
 }
 
+namespace {
+
+/// Root span name of a host job of `kind`, built once per kind so a job
+/// assembles no string even with telemetry off.
+const std::string& host_span_name(AcceleratorKind kind) {
+  static const std::string names[] = {
+      "host." + to_string(AcceleratorKind::kClassicalCpu),
+      "host." + to_string(AcceleratorKind::kQuantum),
+      "host." + to_string(AcceleratorKind::kOscillator),
+      "host." + to_string(AcceleratorKind::kMemcomputing)};
+  return names[static_cast<std::size_t>(kind)];
+}
+
+}  // namespace
+
 std::optional<AcceleratorKind> kind_from_string(const std::string& name) {
   for (const auto kind :
        {AcceleratorKind::kClassicalCpu, AcceleratorKind::kQuantum,
@@ -70,7 +85,7 @@ JobResult HostSystem::submit(const Job& job) {
   const auto start = std::chrono::steady_clock::now();
   {
     // Root span per job: engine spans opened inside the payload nest under it.
-    TELEM_SPAN("host." + to_string(job.kind));
+    TELEM_SPAN(host_span_name(job.kind));
     result = job.payload();
   }
   const auto end = std::chrono::steady_clock::now();

@@ -1,5 +1,6 @@
 #include "core/cache.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -123,9 +124,15 @@ HashKey128 HashWriter::finish() const {
 namespace {
 
 struct Registry {
+  struct Entry {
+    const void* owner;
+    std::string name;
+    std::function<CacheStats()> fn;
+  };
   std::mutex mutex;
-  // Insertion-ordered so status bodies list caches deterministically.
-  std::vector<std::pair<std::string, std::function<CacheStats()>>> entries;
+  // Registration order: status bodies list caches deterministically, and a
+  // later entry under a taken name is the newer cache.
+  std::vector<Entry> entries;
 };
 
 // Leaky singleton: caches with static storage duration unregister during
@@ -137,23 +144,20 @@ Registry& registry() {
 
 }  // namespace
 
-void register_cache(const std::string& name, std::function<CacheStats()> fn) {
-  Registry& r = registry();
-  std::lock_guard lock(r.mutex);
-  for (auto& [existing, existing_fn] : r.entries) {
-    if (existing == name) {
-      existing_fn = std::move(fn);
-      return;
-    }
-  }
-  r.entries.emplace_back(name, std::move(fn));
-}
-
-void unregister_cache(const std::string& name) {
+void register_cache(const void* owner, const std::string& name,
+                    std::function<CacheStats()> fn) {
   Registry& r = registry();
   std::lock_guard lock(r.mutex);
   std::erase_if(r.entries,
-                [&](const auto& entry) { return entry.first == name; });
+                [&](const Registry::Entry& e) { return e.owner == owner; });
+  r.entries.push_back({owner, name, std::move(fn)});
+}
+
+void unregister_cache(const void* owner) {
+  Registry& r = registry();
+  std::lock_guard lock(r.mutex);
+  std::erase_if(r.entries,
+                [&](const Registry::Entry& e) { return e.owner == owner; });
 }
 
 std::vector<std::pair<std::string, CacheStats>> cache_stats_snapshot() {
@@ -161,7 +165,17 @@ std::vector<std::pair<std::string, CacheStats>> cache_stats_snapshot() {
   {
     Registry& r = registry();
     std::lock_guard lock(r.mutex);
-    fns = r.entries;
+    for (const Registry::Entry& e : r.entries) {
+      // One row per name, reported by the newest live cache of that name,
+      // at the position where the name first appeared.
+      const auto it = std::find_if(fns.begin(), fns.end(), [&](const auto& f) {
+        return f.first == e.name;
+      });
+      if (it == fns.end())
+        fns.emplace_back(e.name, e.fn);
+      else
+        it->second = e.fn;
+    }
   }
   std::vector<std::pair<std::string, CacheStats>> out;
   out.reserve(fns.size());
@@ -203,11 +217,11 @@ CacheCore::CacheCore(const CacheConfig& config)
       expire_name_("cache." + config.name + ".expire") {}
 
 CacheCore::~CacheCore() {
-  if (registered_) unregister_cache(config_.name);
+  if (registered_) unregister_cache(this);
 }
 
 void CacheCore::register_stats(std::function<CacheStats()> live) {
-  register_cache(config_.name, std::move(live));
+  register_cache(this, config_.name, std::move(live));
   registered_ = true;
 }
 

@@ -27,7 +27,8 @@
 //                      independent bits of the same 128-bit digest.
 //
 //   cache registry     every cache registers its stats under its config
-//                      name; rebootd snapshots the registry into `status` /
+//                      name (the newest live cache of a name reports);
+//                      rebootd snapshots the registry into `status` /
 //                      `metrics` bodies so `rebootctl top` can show fleet
 //                      hit rates without new plumbing per cache.
 //
@@ -132,11 +133,15 @@ struct CacheStats {
   std::size_t bytes = 0;    ///< accounted bytes right now
 };
 
-/// The process-wide cache registry: name -> stats snapshot function.
-/// rebootd serves this through `status`/`metrics`; tests use it to assert
-/// the wired layers actually count.
-void register_cache(const std::string& name, std::function<CacheStats()> fn);
-void unregister_cache(const std::string& name);
+/// The process-wide cache registry: owner -> (name, stats snapshot
+/// function). Entries are keyed by owner identity, so several live caches
+/// may share a name: the snapshot reports each name once, from the newest
+/// live registration, and destroying an older cache never hides a newer
+/// one. rebootd serves this through `status`/`metrics`; tests use it to
+/// assert the wired layers actually count.
+void register_cache(const void* owner, const std::string& name,
+                    std::function<CacheStats()> fn);
+void unregister_cache(const void* owner);
 std::vector<std::pair<std::string, CacheStats>> cache_stats_snapshot();
 
 // ------------------------------------------------------------------ cache --

@@ -12,8 +12,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -99,22 +99,50 @@ struct JobOptions {
   /// a pure function) and, like every cache layer, inert when
   /// core::cache_enabled() is off.
   std::string memo_key;
+  /// Opt-in request coalescing: identical keys *in flight* share one
+  /// execution through the same single-flight registry as memo_key, but the
+  /// result is never cached and core::cache_enabled() does not switch it
+  /// off. Riders follow the memo-rider rules (own cancel/deadline honored at
+  /// delivery, the leader's exception fanned out). A non-empty memo_key takes
+  /// precedence while caching is on. Ignored by submit_preemptible.
+  std::string coalesce_key;
 };
 
-/// One in-flight memoized execution (single-flight). The first submitter of
-/// a memo_key becomes the *leader* and executes normally; later identical
-/// submitters become *riders*: their promises park here and are fulfilled
-/// with a copy of the leader's outcome — result or exception — when it
-/// settles. Riders' own cancel/deadline options are honored at delivery
+/// What a job's completion receives: the JobResult, or the exception the
+/// payload threw (`result` is then default-constructed). `rode` is true when
+/// this submit was settled by another submit's execution — a single-flight
+/// rider of a memo_key or coalesce_key leader — rather than its own.
+struct JobOutcome {
+  core::JobResult result;
+  std::exception_ptr thrown;
+  bool rode = false;
+};
+
+/// The one completion exit of a submitted job: invoked exactly once per
+/// accepted submit, on whichever thread settles the job — a worker, the
+/// submitting thread for immediate outcomes (rejected, memo hit), or
+/// shutdown() for flushed jobs. No scheduler lock is held while it runs, so
+/// it may read the scheduler (stats(), queue_depth()). It must not throw; a
+/// slow completion holds up the thread that settled the job.
+using JobCompletion = std::function<void(JobOutcome&&)>;
+
+/// One in-flight single-flight execution (memo_key or coalesce_key). The
+/// first submitter of a key becomes the *leader* and executes normally; later
+/// identical submitters become *riders*: their completions park here and are
+/// invoked with a copy of the leader's outcome — result or exception — when
+/// it settles. Riders' own cancel/deadline options are honored at delivery
 /// time. Guarded by the scheduler's flight registry mutex.
 struct MemoFlight {
   struct Rider {
     std::string name;
     JobOptions opts;
-    std::promise<core::JobResult> promise;
+    JobCompletion done;
   };
 
   core::HashKey128 key;
+  /// memo_key flights cache an ok + executed result; coalesce_key flights
+  /// never write to the cache.
+  bool cache_result = false;
   std::vector<Rider> riders;
 };
 
@@ -157,9 +185,9 @@ class YieldProbe {
 using PreemptiblePayload = std::function<std::optional<core::JobResult>(
     core::Accelerator&, const YieldProbe&)>;
 
-/// One queue entry: the job, its controls, the promise the submitter's
-/// future is attached to, and the bookkeeping the scheduler needs for
-/// ordering (seq) and wait-time accounting (enqueued_at).
+/// One queue entry: the job, its controls, the completion that reports its
+/// outcome, and the bookkeeping the scheduler needs for ordering (seq) and
+/// wait-time accounting (enqueued_at).
 struct QueuedJob {
   std::string name;
   core::AcceleratorKind kind = core::AcceleratorKind::kClassicalCpu;
@@ -169,7 +197,7 @@ struct QueuedJob {
   /// checkpoint state between slices.
   PreemptiblePayload preemptible;
   JobOptions opts;
-  std::promise<core::JobResult> promise;
+  JobCompletion done;
   std::uint64_t seq = 0;  ///< scheduler-global submission order, unique
   Clock::time_point enqueued_at{};
   // --- resilience bookkeeping carried across a failover hop ---------------
@@ -181,7 +209,7 @@ struct QueuedJob {
   // --- memoization bookkeeping --------------------------------------------
   /// Set when this job leads a single-flight group; travels with the job
   /// across failover hops and preemption re-enqueues, and is settled exactly
-  /// once, by whichever code path fulfills the leader's promise.
+  /// once, by whichever code path settles the leader.
   std::shared_ptr<MemoFlight> memo_flight;
 };
 

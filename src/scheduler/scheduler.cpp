@@ -20,12 +20,48 @@ std::string attempt_prefix(std::uint64_t attempt) {
   return "attempt " + std::to_string(attempt) + ": ";
 }
 
+/// The completion behind the future-returning overloads.
+JobCompletion promise_completion(std::future<core::JobResult>* future) {
+  auto promise = std::make_shared<std::promise<core::JobResult>>();
+  *future = promise->get_future();
+  return [promise](JobOutcome&& outcome) {
+    if (outcome.thrown)
+      promise->set_exception(std::move(outcome.thrown));
+    else
+      promise->set_value(std::move(outcome.result));
+  };
+}
+
+/// The submitter's own pre-execution gates, applied to a job settled without
+/// running on its behalf (memo hit, single-flight rider): a cancelled or
+/// expired submit must not look like it ran. Nullopt = deliver as is.
+std::optional<core::JobResult> gate_unrun(const std::string& name,
+                                          const JobOptions& opts) {
+  core::JobResult result;
+  if (opts.cancel && opts.cancel->cancelled()) {
+    result.disposition = core::JobDisposition::kCancelled;
+    result.summary = "sched: job '" + name + "' cancelled before execution";
+    telemetry::count("sched.cancelled");
+    TELEM_TRACE_INSTANT("sched.cancelled");
+    return result;
+  }
+  if (opts.deadline && Clock::now() >= *opts.deadline) {
+    result.disposition = core::JobDisposition::kDeadlineMissed;
+    result.summary = "sched: job '" + name + "' missed its deadline";
+    telemetry::count("sched.deadline_missed");
+    TELEM_TRACE_INSTANT("sched.deadline_expired");
+    return result;
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 Scheduler::Pool::Pool(core::AcceleratorKind k, std::size_t capacity,
                       BackpressurePolicy policy)
     : kind(k),
       queue(capacity, policy),
+      span_name("sched." + core::to_string(k)),
       depth_gauge("sched.queue_depth." + core::to_string(k)),
       jobs_counter("sched.jobs." + core::to_string(k)),
       busy_counter("sched.busy_seconds." + core::to_string(k)) {}
@@ -112,103 +148,100 @@ std::future<core::JobResult> Scheduler::submit(std::string name,
                                                core::AcceleratorKind kind,
                                                DevicePayload payload,
                                                JobOptions opts) {
+  std::future<core::JobResult> future;
+  submit(std::move(name), kind, std::move(payload), std::move(opts),
+         promise_completion(&future));
+  return future;
+}
+
+void Scheduler::submit(std::string name, core::AcceleratorKind kind,
+                       DevicePayload payload, JobOptions opts,
+                       JobCompletion done) {
   if (!payload)
     throw std::invalid_argument("sched: job '" + name + "' has no payload");
+  if (!done)
+    throw std::invalid_argument("sched: job '" + name + "' has no completion");
   if (!accepting())
     throw std::runtime_error("sched: submit('" + name + "') after shutdown");
   Pool* pool = find_pool(kind);
 
   std::shared_ptr<MemoFlight> flight;
-  if (auto memoized = try_memo(name, opts, &flight)) return std::move(*memoized);
+  if (join_flight(name, opts, done, &flight)) return;
 
   QueuedJob item;
   item.name = std::move(name);
   item.kind = kind;
   item.payload = std::move(payload);
   item.opts = std::move(opts);
+  item.done = std::move(done);
   item.memo_flight = std::move(flight);
-  return enqueue(std::move(item), pool);
+  enqueue(std::move(item), pool);
 }
 
-std::optional<std::future<core::JobResult>> Scheduler::try_memo(
-    const std::string& name, const JobOptions& opts,
-    std::shared_ptr<MemoFlight>* flight_out) {
-  if (opts.memo_key.empty() || !core::cache_enabled()) return std::nullopt;
+bool Scheduler::join_flight(const std::string& name, const JobOptions& opts,
+                            JobCompletion& done,
+                            std::shared_ptr<MemoFlight>* flight_out) {
+  const bool memo = !opts.memo_key.empty() && core::cache_enabled();
+  if (!memo && opts.coalesce_key.empty()) return false;
+  // One registry, two key spaces: the tag keeps a memo_key and an equal
+  // coalesce_key from sharing a flight (only one of them may cache).
   core::HashWriter w;
-  w.str(opts.memo_key);
+  w.u8(memo ? 'm' : 'c');
+  w.str(memo ? opts.memo_key : opts.coalesce_key);
   const core::HashKey128 key = w.finish();
 
-  if (const auto cached = memo_cache_.get(key)) {
-    // Replay. The submitter's own pre-execution gates still apply — a
-    // cancelled or already-expired job must not look like it ran.
-    memo_hits_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::count("sched.memo_hit");
-    TELEM_TRACE_INSTANT("sched.memo_hit");
-    std::promise<core::JobResult> promise;
-    auto future = promise.get_future();
-    core::JobResult result;
-    if (opts.cancel && opts.cancel->cancelled()) {
-      result.disposition = core::JobDisposition::kCancelled;
-      result.summary =
-          "sched: job '" + name + "' cancelled before execution";
-      telemetry::count("sched.cancelled");
-      TELEM_TRACE_INSTANT("sched.cancelled");
-    } else if (opts.deadline && Clock::now() >= *opts.deadline) {
-      result.disposition = core::JobDisposition::kDeadlineMissed;
-      result.summary = "sched: job '" + name + "' missed its deadline";
-      telemetry::count("sched.deadline_missed");
-      TELEM_TRACE_INSTANT("sched.deadline_expired");
-    } else {
-      result = *cached;
+  if (memo) {
+    if (const auto cached = memo_cache_.get(key)) {
+      memo_hits_.fetch_add(1, std::memory_order_relaxed);
+      telemetry::count("sched.memo_hit");
+      TELEM_TRACE_INSTANT("sched.memo_hit");
+      JobOutcome outcome;
+      outcome.result = gate_unrun(name, opts).value_or(*cached);
+      done(std::move(outcome));
+      return true;
     }
-    promise.set_value(std::move(result));
-    return future;
   }
 
   std::lock_guard lock(flights_mutex_);
   const auto it = flights_.find(key);
   if (it != flights_.end()) {
     // Single-flight: ride the in-flight leader instead of executing again.
-    memo_riders_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::count("sched.memo_rider");
-    TELEM_TRACE_INSTANT("sched.memo_rider");
-    MemoFlight::Rider rider;
-    rider.name = name;
-    rider.opts = opts;
-    auto future = rider.promise.get_future();
-    it->second->riders.push_back(std::move(rider));
+    if (memo) {
+      memo_riders_.fetch_add(1, std::memory_order_relaxed);
+      telemetry::count("sched.memo_rider");
+      TELEM_TRACE_INSTANT("sched.memo_rider");
+    } else {
+      telemetry::count("sched.coalesce_rider");
+      TELEM_TRACE_INSTANT("sched.coalesce_rider");
+    }
+    it->second->riders.push_back({name, opts, std::move(done)});
     track_accept();
-    return future;
+    return true;
   }
   // No cached result, no flight: this submission leads a new one.
   auto flight = std::make_shared<MemoFlight>();
   flight->key = key;
+  flight->cache_result = memo;
   flights_.emplace(key, flight);
   *flight_out = std::move(flight);
-  return std::nullopt;
+  return false;
 }
 
-void Scheduler::fulfill(QueuedJob& item, core::JobResult&& result) {
+void Scheduler::settle(QueuedJob& item, core::JobResult&& result,
+                       std::exception_ptr thrown) {
+  JobOutcome outcome;
+  outcome.result = std::move(result);
+  outcome.thrown = std::move(thrown);
   if (item.memo_flight) {
-    settle_flight(item.memo_flight, &result, nullptr);
+    settle_flight(item.memo_flight, outcome);
     item.memo_flight.reset();
   }
-  item.promise.set_value(std::move(result));
-  track_complete();
-}
-
-void Scheduler::fulfill_exception(QueuedJob& item, std::exception_ptr thrown) {
-  if (item.memo_flight) {
-    settle_flight(item.memo_flight, nullptr, thrown);
-    item.memo_flight.reset();
-  }
-  item.promise.set_exception(std::move(thrown));
+  item.done(std::move(outcome));
   track_complete();
 }
 
 void Scheduler::settle_flight(const std::shared_ptr<MemoFlight>& flight,
-                              const core::JobResult* result,
-                              std::exception_ptr thrown) {
+                              const JobOutcome& outcome) {
   std::vector<MemoFlight::Rider> riders;
   {
     // Erase before delivering: once settled, a new identical submit starts a
@@ -218,40 +251,27 @@ void Scheduler::settle_flight(const std::shared_ptr<MemoFlight>& flight,
     riders = std::move(flight->riders);
     flight->riders.clear();
   }
-  if (result && result->ok &&
-      result->disposition == core::JobDisposition::kExecuted) {
+  const core::JobResult& result = outcome.result;
+  if (flight->cache_result && !outcome.thrown && result.ok &&
+      result.disposition == core::JobDisposition::kExecuted) {
     // Only a genuine success is worth replaying; cancellations, deadline
     // misses, shed/flushed verdicts, and fault-storm failures must re-execute
     // next time.
-    std::size_t bytes = sizeof(core::JobResult) + result->summary.size();
-    for (const auto& [key, value] : result->metrics)
+    std::size_t bytes = sizeof(core::JobResult) + result.summary.size();
+    for (const auto& [key, value] : result.metrics)
       bytes += key.size() + sizeof(value);
-    for (const auto& line : result->fault_log) bytes += line.size();
-    memo_cache_.put(flight->key, std::make_shared<core::JobResult>(*result),
+    for (const auto& line : result.fault_log) bytes += line.size();
+    memo_cache_.put(flight->key, std::make_shared<core::JobResult>(result),
                     bytes);
   }
   for (auto& rider : riders) {
-    if (thrown) {
-      rider.promise.set_exception(thrown);
-    } else {
-      core::JobResult fanned;
-      if (rider.opts.cancel && rider.opts.cancel->cancelled()) {
-        fanned.disposition = core::JobDisposition::kCancelled;
-        fanned.summary = "sched: job '" + rider.name +
-                         "' cancelled before execution";
-        telemetry::count("sched.cancelled");
-        TELEM_TRACE_INSTANT("sched.cancelled");
-      } else if (rider.opts.deadline && Clock::now() >= *rider.opts.deadline) {
-        fanned.disposition = core::JobDisposition::kDeadlineMissed;
-        fanned.summary = "sched: job '" + rider.name +
-                         "' missed its deadline";
-        telemetry::count("sched.deadline_missed");
-        TELEM_TRACE_INSTANT("sched.deadline_expired");
-      } else {
-        fanned = *result;
-      }
-      rider.promise.set_value(std::move(fanned));
-    }
+    JobOutcome fanned;
+    fanned.rode = true;
+    if (outcome.thrown)
+      fanned.thrown = outcome.thrown;
+    else
+      fanned.result = gate_unrun(rider.name, rider.opts).value_or(result);
+    rider.done(std::move(fanned));
     track_complete();
   }
 }
@@ -270,13 +290,15 @@ std::future<core::JobResult> Scheduler::submit_preemptible(
   item.kind = kind;
   item.preemptible = std::move(payload);
   item.opts = std::move(opts);
-  return enqueue(std::move(item), pool);
+  std::future<core::JobResult> future;
+  item.done = promise_completion(&future);
+  enqueue(std::move(item), pool);
+  return future;
 }
 
-std::future<core::JobResult> Scheduler::enqueue(QueuedJob item, Pool* pool) {
+void Scheduler::enqueue(QueuedJob item, Pool* pool) {
   item.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   item.enqueued_at = Clock::now();
-  auto future = item.promise.get_future();
   track_accept();
 
   // The submit slice brackets the (possibly blocking) push, and the flow
@@ -306,7 +328,6 @@ std::future<core::JobResult> Scheduler::enqueue(QueuedJob item, Pool* pool) {
                      "sched.flushed", core::JobDisposition::kFlushed);
       break;
   }
-  return future;
 }
 
 std::vector<std::future<core::JobResult>> Scheduler::submit_batch(
@@ -353,10 +374,7 @@ void Scheduler::worker_loop(Pool& pool, core::Accelerator& replica,
 
 std::optional<QueuedJob> Scheduler::steal_from_other_pool(
     const Pool& thief, BoundedJobQueue*& source) {
-  // try_lock, not lock: shutdown() joins workers while holding pools_mutex_,
-  // so a blocking acquire here could deadlock the join.
-  std::unique_lock lock(pools_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) return std::nullopt;
+  std::unique_lock lock(pools_mutex_);
   Pool* victim = nullptr;
   std::size_t deepest = 0;
   for (const auto& [kind, pool] : pools_) {
@@ -426,9 +444,9 @@ void Scheduler::execute(Pool& pool, BoundedJobQueue& source,
     if (verdict == Verdict::kCompleted) {
       telemetry::record("sched.latency_seconds",
                         seconds_between(item.enqueued_at, Clock::now()));
-      fulfill(item, std::move(result));
+      settle(item, std::move(result));
     }
-    // kThrew already fulfilled the promise (exception) inside run_slice /
+    // kThrew already settled the job (exception) inside run_slice /
     // run_attempts; kFailedOver and kYielded re-queued the job elsewhere.
     source.task_done();
 }
@@ -456,7 +474,7 @@ Scheduler::Verdict Scheduler::run_slice(Pool& pool, BoundedJobQueue& source,
   const auto start = Clock::now();
   std::optional<core::JobResult> res;
   try {
-    TELEM_SPAN("sched." + core::to_string(pool.kind));
+    TELEM_SPAN(pool.span_name);
     res = item.preemptible(target, probe);
   } catch (...) {
     telemetry::count("sched.payload_exceptions");
@@ -465,7 +483,7 @@ Scheduler::Verdict Scheduler::run_slice(Pool& pool, BoundedJobQueue& source,
       metrics.add("sched.jobs");
       metrics.add(pool.jobs_counter);
     }
-    fulfill_exception(item, std::current_exception());
+    settle(item, {}, std::current_exception());
     return Verdict::kThrew;
   }
   const core::Real service = seconds_between(start, Clock::now());
@@ -591,7 +609,7 @@ Scheduler::Verdict Scheduler::run_attempts(Pool& pool,
         const auto start = Clock::now();
         core::JobResult attempt_result;
         try {
-          TELEM_SPAN("sched." + core::to_string(pool.kind));
+          TELEM_SPAN(pool.span_name);
           attempt_result = item.payload(target);
         } catch (...) {
           threw = true;
@@ -652,7 +670,7 @@ Scheduler::Verdict Scheduler::run_attempts(Pool& pool,
           metrics.add("sched.jobs");
           metrics.add(pool.jobs_counter);
         }
-        fulfill_exception(item, std::move(thrown));
+        settle(item, {}, std::move(thrown));
         return Verdict::kThrew;
       }
     }
@@ -779,7 +797,7 @@ void Scheduler::complete_unrun(QueuedJob&& item, const std::string& why,
   result.summary = "sched: job '" + item.name + "' " + why;
   result.attempts = item.attempts_done;
   result.fault_log = std::move(item.fault_log);
-  fulfill(item, std::move(result));
+  settle(item, std::move(result));
 }
 
 void Scheduler::track_accept() {
@@ -793,7 +811,7 @@ void Scheduler::track_complete() {
 }
 
 void Scheduler::drain() {
-  // Counted at promise completion (track_accept/track_complete), so this is
+  // Counted at job completion (track_accept/track_complete), so this is
   // exact even while jobs hop between pools on failover — a queue-emptiness
   // scan could observe "all idle" mid-hop.
   std::unique_lock lock(drain_mutex_);
@@ -803,15 +821,25 @@ void Scheduler::drain() {
 void Scheduler::shutdown() {
   std::call_once(shutdown_once_, [this] {
     accepting_.store(false, std::memory_order_release);
-    std::lock_guard lock(pools_mutex_);
-    for (auto& [kind, pool] : pools_) pool->queue.close();
-    for (auto& [kind, pool] : pools_)
+    // The map lock only guards the close and the snapshot of the pool list:
+    // add_pool refuses new pools from here on and pools are never removed,
+    // so the joins and completions below run lock-free — a worker's
+    // completion may call stats() without deadlocking the join.
+    std::vector<Pool*> pools;
+    {
+      std::lock_guard lock(pools_mutex_);
+      for (auto& [kind, pool] : pools_) {
+        pool->queue.close();
+        pools.push_back(pool.get());
+      }
+    }
+    for (Pool* pool : pools)
       for (auto& thread : pool->threads)
         if (thread.joinable()) thread.join();
     // Workers are gone; whatever stayed queued is completed, not executed.
     // flush() hands the leftovers back in queue (priority, then FIFO) order,
     // so the ok=false completions are deterministic.
-    for (auto& [kind, pool] : pools_) {
+    for (Pool* pool : pools) {
       for (auto& item : pool->queue.flush())
         complete_unrun(std::move(item), "flushed at shutdown before execution",
                        "sched.flushed", core::JobDisposition::kFlushed);

@@ -7,7 +7,9 @@
 //
 //   submit()        -> std::future<core::JobResult>, with per-job priority,
 //                      deadline, cooperative cancellation, and RetryPolicy
-//                      (job.h)
+//                      (job.h); or, given a JobCompletion, no future at all:
+//                      the completion is the job's one exit, and the future
+//                      overloads are completions that fill a promise
 //   submit_batch()  -> fan-out of a job vector, futures in submission order
 //   drain()         -> block until every accepted job has finished; the
 //                      scheduler keeps accepting new work afterwards
@@ -129,7 +131,7 @@ class Scheduler {
  public:
   explicit Scheduler(SchedulerConfig config = {});
   /// Runs shutdown(); queued-but-unexecuted jobs complete with ok=false, so
-  /// no future obtained from this scheduler is ever abandoned.
+  /// no completion (or future) of this scheduler is ever abandoned.
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -155,6 +157,13 @@ class Scheduler {
                                       core::AcceleratorKind kind,
                                       DevicePayload payload,
                                       JobOptions opts = {});
+
+  /// Same, reporting through `done` instead of a future: `done` runs exactly
+  /// once (see JobCompletion) unless this call throws, in which case it
+  /// never runs. An immediate outcome (backpressure rejection, memo hit)
+  /// runs it before submit returns.
+  void submit(std::string name, core::AcceleratorKind kind,
+              DevicePayload payload, JobOptions opts, JobCompletion done);
 
   /// Submits a slice-based job (DESIGN.md §12). The payload is invoked
   /// repeatedly; each invocation is one time slice. When it returns a
@@ -184,7 +193,9 @@ class Scheduler {
 
   /// Stops accepting submissions, closes all queues, joins the workers
   /// (in-flight jobs finish normally), then completes every still-queued job
-  /// with ok=false in queue (priority, then FIFO) order. Idempotent.
+  /// with ok=false in queue (priority, then FIFO) order. No lock is held
+  /// while joining or completing, so completions may call stats().
+  /// Idempotent.
   void shutdown();
 
   /// False once shutdown() has begun.
@@ -222,7 +233,7 @@ class Scheduler {
     std::vector<std::thread> threads;
     // Pre-built telemetry names, so the hot path does no string assembly
     // beyond what the registry itself needs.
-    std::string depth_gauge, jobs_counter, busy_counter;
+    std::string span_name, depth_gauge, jobs_counter, busy_counter;
 
     Pool(core::AcceleratorKind k, std::size_t capacity,
          BackpressurePolicy policy);
@@ -230,8 +241,8 @@ class Scheduler {
 
   /// How one popped job left a worker.
   enum class Verdict {
-    kCompleted,   ///< promise fulfilled with a JobResult
-    kThrew,       ///< promise holds the payload's exception
+    kCompleted,   ///< `out` holds the JobResult; execute() settles the job
+    kThrew,       ///< already settled with the payload's exception
     kFailedOver,  ///< job re-queued on (or completed by) the fallback pool
     kYielded,     ///< preempted mid-job; remainder re-queued (or completed)
   };
@@ -240,7 +251,7 @@ class Scheduler {
   static PoolStats snapshot_pool(const Pool& pool);
   /// Shared tail of submit/submit_preemptible: assign seq, push, handle
   /// backpressure verdicts.
-  std::future<core::JobResult> enqueue(QueuedJob item, Pool* pool);
+  void enqueue(QueuedJob item, Pool* pool);
   void worker_loop(Pool& pool, core::Accelerator& replica, Worker& state,
                    std::size_t replica_index);
   /// Executes one dequeued job on this worker. `source` is the queue the job
@@ -255,8 +266,6 @@ class Scheduler {
                     core::Accelerator& replica, core::Accelerator& target,
                     QueuedJob& item, core::JobResult& out);
   /// Picks the deepest other pool's queue and steals its best stealable job.
-  /// Uses try_lock on the pool map so a stealing worker can never deadlock
-  /// against shutdown() (which joins workers while holding the map lock).
   std::optional<QueuedJob> steal_from_other_pool(const Pool& thief,
                                                  BoundedJobQueue*& source);
   /// The per-job retry/breaker/failover loop around payload execution.
@@ -267,8 +276,8 @@ class Scheduler {
   bool failover_eligible(const RetryPolicy& retry, const QueuedJob& item,
                          const Pool& pool) const;
   /// Re-homes a job onto the classical-cpu pool, carrying its attempt count
-  /// and fault log. The job's promise is either queued along with it or, if
-  /// the fallback queue refuses, completed here — never abandoned.
+  /// and fault log. The job's completion is either queued along with it or,
+  /// if the fallback queue refuses, run here — never abandoned.
   Verdict failover(QueuedJob&& item, std::uint64_t attempts,
                    std::vector<std::string>&& fault_log);
   Clock::duration backoff_delay(const RetryPolicy& retry, std::size_t attempt,
@@ -279,26 +288,26 @@ class Scheduler {
   void track_accept();
   void track_complete();
 
-  // --- memoization (DESIGN.md §14) ----------------------------------------
-  /// The single funnel for fulfilling a job's promise with a result: settles
-  /// the job's memo flight (if it leads one) before completing, so riders
-  /// can never outlive their leader. Every promise-with-value site goes
-  /// through here.
-  void fulfill(QueuedJob& item, core::JobResult&& result);
-  /// Same funnel for the exception outcome: riders receive the exception
-  /// their leader's payload threw.
-  void fulfill_exception(QueuedJob& item, std::exception_ptr thrown);
+  // --- single-flight (DESIGN.md §14) --------------------------------------
+  /// The job's one exit: settles the flight it leads (if any) so riders can
+  /// never outlive their leader, then runs the job's completion. Every
+  /// outcome — result or exception — of every accepted job goes through
+  /// here, called with no scheduler lock held.
+  void settle(QueuedJob& item, core::JobResult&& result,
+              std::exception_ptr thrown = nullptr);
   /// Removes the flight from the registry (no rider can attach afterwards),
-  /// caches an ok + actually-executed result, and fans the outcome out to
-  /// every rider — honoring each rider's own cancel/deadline at delivery.
+  /// caches an ok + actually-executed result of a memo flight, and fans the
+  /// outcome out to every rider — honoring each rider's own cancel/deadline
+  /// at delivery.
   void settle_flight(const std::shared_ptr<MemoFlight>& flight,
-                     const core::JobResult* result, std::exception_ptr thrown);
-  /// Memo fast paths of submit(): replay a cached result, or join/lead the
-  /// single-flight group. Returns the future to hand back, or nullopt when
-  /// the job must enqueue normally (possibly now leading `flight_out`).
-  std::optional<std::future<core::JobResult>> try_memo(
-      const std::string& name, const JobOptions& opts,
-      std::shared_ptr<MemoFlight>* flight_out);
+                     const JobOutcome& outcome);
+  /// Fast paths of submit() for memo_key / coalesce_key: replay a cached
+  /// result or ride an in-flight leader (both consume `done` and return
+  /// true), or return false when the job must enqueue normally — possibly
+  /// now leading `flight_out`.
+  bool join_flight(const std::string& name, const JobOptions& opts,
+                   JobCompletion& done,
+                   std::shared_ptr<MemoFlight>* flight_out);
 
   SchedulerConfig config_;
   std::atomic<bool> accepting_{true};
@@ -324,7 +333,7 @@ class Scheduler {
   std::atomic<std::uint64_t> memo_riders_{0};
 
   // drain() bookkeeping: accepted-but-uncompleted jobs. Counted at the
-  // promise, not the queue, so a failover hop between pools can never open
+  // completion, not the queue, so a failover hop between pools can never open
   // a window where every queue looks idle while a job is mid-flight.
   mutable std::mutex drain_mutex_;
   std::condition_variable drain_cv_;

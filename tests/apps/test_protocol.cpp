@@ -195,6 +195,43 @@ TEST(Protocol, DecodeIsStrictOnTypesAndSilentOnUnknownFields) {
   EXPECT_EQ(req->method, "ping");
 }
 
+TEST(Protocol, OutOfRangeNumbersAreRejectedNamingTheField) {
+  // Each of these once reached a float->integer or float->duration cast
+  // unchecked, which is undefined behaviour.
+  const struct {
+    const char* frame;
+    const char* field;
+  } cases[] = {
+      {R"({"id":1e30,"method":"ping"})", "id"},
+      {R"({"id":-1,"method":"ping"})", "id"},
+      {R"({"id":1.5,"method":"ping"})", "id"},
+      {R"({"id":1,"method":"submit","priority":1e12})", "priority"},
+      {R"({"id":1,"method":"submit","priority":-1e12})", "priority"},
+      {R"({"id":1,"method":"submit","deadline_ms":1e999})", "deadline_ms"},
+      {R"({"id":1,"method":"submit","deadline_ms":1e300})", "deadline_ms"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    EXPECT_FALSE(decode_request(c.frame, &error).has_value()) << c.frame;
+    EXPECT_NE(error.find(c.field), std::string::npos)
+        << c.frame << " -> " << error;
+  }
+  std::string error;
+  EXPECT_FALSE(
+      decode_response(R"({"id":1,"status":"ok","attempts":1e30})", &error)
+          .has_value());
+  EXPECT_NE(error.find("attempts"), std::string::npos) << error;
+
+  // The edges of the accepted ranges still decode.
+  const auto req = decode_request(
+      R"({"id":9007199254740992,"method":"submit","priority":-1073741824,)"
+      R"("deadline_ms":1e12})");
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->id, 9007199254740992ull);
+  EXPECT_EQ(req->priority, -1073741824);
+  EXPECT_DOUBLE_EQ(*req->deadline_ms, 1e12);
+}
+
 TEST(Protocol, CoalesceKeySeparatesWhatMustNotMerge) {
   Request a;
   a.id = 1;

@@ -191,7 +191,6 @@ TEST(Service, MidRequestDisconnectLeavesTheServerServing) {
 TEST(Service, ConcurrentClientsAllGetTheirAnswers) {
   ServerConfig config;
   config.cpu_workers = 2;
-  config.pump_threads = 2;
   Server server(config);
   ASSERT_TRUE(server.start());
 
@@ -214,16 +213,42 @@ TEST(Service, ConcurrentClientsAllGetTheirAnswers) {
   EXPECT_EQ(ok.load(), kThreads * kRequests);
 }
 
-TEST(Service, IdenticalBurstsCoalesceIntoOneJob) {
+TEST(Service, RepliesFollowCompletionNotSubmissionOrder) {
+  // Three workers: two long spins and an echo all run at once. The echo's
+  // reply must not wait behind the spins that were submitted before it.
   ServerConfig config;
-  config.cpu_workers = 1;
-  config.coalesce_window_ms = 500.0;
+  config.cpu_workers = 3;
   Server server(config);
   ASSERT_TRUE(server.start());
   rebootctl::Client client = connect_client(server);
 
-  // A blocker pins the single worker, so the identical burst behind it is
-  // all queued inside one coalescing window.
+  ASSERT_TRUE(client.send(submit_spin(1, 300'000.0)));
+  ASSERT_TRUE(client.send(submit_spin(2, 300'000.0)));
+  net::Request echo;
+  echo.id = 3;
+  echo.method = "submit";
+  echo.work = "echo";
+  ASSERT_TRUE(client.send(echo));
+
+  std::vector<std::uint64_t> order;
+  for (int i = 0; i < 3; ++i) {
+    const auto resp = client.recv();
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, net::Status::kOk) << "id " << resp->id;
+    order.push_back(resp->id);
+  }
+  EXPECT_EQ(order.front(), 3u) << "the echo's reply waited behind a spin";
+}
+
+TEST(Service, IdenticalBurstsCoalesceIntoOneJob) {
+  ServerConfig config;
+  config.cpu_workers = 1;
+  Server server(config);
+  ASSERT_TRUE(server.start());
+  rebootctl::Client client = connect_client(server);
+
+  // A blocker pins the single worker, so the identical burst behind it
+  // arrives while the burst's first job is still in flight.
   ASSERT_TRUE(client.send(submit_spin(1, 50'000.0)));
   ASSERT_TRUE(wait_for_status(server, [](const core::JsonValue& body) {
     return pool_stat(body, "in_flight") == 1.0;
@@ -278,7 +303,6 @@ TEST(Service, QueueHighWaterRejectsAsOverloaded) {
   ServerConfig config;
   config.cpu_workers = 1;
   config.admission_high_water = 1;
-  config.coalesce_window_ms = 0.0;
   Server server(config);
   ASSERT_TRUE(server.start());
   rebootctl::Client client = connect_client(server);
@@ -309,7 +333,6 @@ TEST(Service, QueueHighWaterRejectsAsOverloaded) {
 TEST(Service, StopAnswersEveryAcceptedRequest) {
   ServerConfig config;
   config.cpu_workers = 1;
-  config.coalesce_window_ms = 0.0;
   Server server(config);
   ASSERT_TRUE(server.start());
   rebootctl::Client client = connect_client(server);

@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -332,6 +334,34 @@ TEST(CacheRegistry, SnapshotTracksCacheLifetime) {
       }
   }
   EXPECT_EQ(count_named("test.registry"), 0u);  // dtor unregistered
+}
+
+TEST(CacheRegistry, DestroyingTheOlderSameNameCacheKeepsTheNewerReporting) {
+  const auto inserts_named = [](const std::string& name) {
+    std::size_t rows = 0;
+    std::uint64_t inserts = 0;
+    for (const auto& [cache_name, stats] : cache_stats_snapshot())
+      if (cache_name == name) {
+        ++rows;
+        inserts = stats.inserts;
+      }
+    EXPECT_LE(rows, 1u) << "one row per name";
+    return rows == 0 ? std::optional<std::uint64_t>{}
+                     : std::optional<std::uint64_t>{inserts};
+  };
+  CacheConfig cfg;
+  cfg.name = "test.registry.owner";
+  auto older = std::make_unique<ShardedCache<int>>(cfg);
+  older->put(key_of(1), boxed(1), 4);
+  ShardedCache<int> newer(cfg);
+  for (int k = 0; k < 3; ++k) newer.put(key_of(10 + k), boxed(k), 4);
+  EXPECT_EQ(inserts_named(cfg.name), std::optional<std::uint64_t>{3u});
+
+  // The older cache's destructor must not unregister the newer one.
+  older.reset();
+  EXPECT_EQ(inserts_named(cfg.name), std::optional<std::uint64_t>{3u});
+  newer.put(key_of(20), boxed(20), 4);
+  EXPECT_EQ(inserts_named(cfg.name), std::optional<std::uint64_t>{4u});
 }
 
 TEST(CacheToggle, RuntimeSwitchRoundTrips) {

@@ -3,9 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <vector>
-
-#include "core/ode.h"
 
 namespace rebooting::core {
 namespace {
@@ -107,19 +106,25 @@ TEST(IntegrateFixed, TimeGridIsDriftFree) {
 }
 
 TEST(IntegrateFixed, KernelMatchesLegacyFunctionPathBitwise) {
-  // The std::function API must be a pure adapter: same arithmetic, same
-  // result to the last bit.
+  // Type erasure must not change the arithmetic: a kernel that forwards to
+  // a std::function RHS reproduces the inlined kernel to the last bit.
   DecayKernel f{0.7};
   Workspace ws;
   std::vector<Real> y_kernel{1.0, 2.0, -0.5};
   integrate_fixed(f, Scheme::kRk4, 0.0, 3.0, 1e-3, std::span<Real>(y_kernel),
                   ws);
 
-  const OdeRhs rhs = [](Real, std::span<const Real> y, std::span<Real> dydt) {
+  struct FunctionKernel {
+    std::function<void(Real, std::span<const Real>, std::span<Real>)> fn;
+    void rhs(Real t, std::span<const Real> y, std::span<Real> dydt) const {
+      fn(t, y, dydt);
+    }
+  } rhs{[](Real, std::span<const Real> y, std::span<Real> dydt) {
     for (std::size_t i = 0; i < y.size(); ++i) dydt[i] = -0.7 * y[i];
-  };
+  }};
   std::vector<Real> y_fn{1.0, 2.0, -0.5};
-  integrate_fixed(rhs, Scheme::kRk4, 0.0, 3.0, 1e-3, y_fn);
+  integrate_fixed(rhs, Scheme::kRk4, 0.0, 3.0, 1e-3, std::span<Real>(y_fn),
+                  ws);
 
   for (std::size_t i = 0; i < y_fn.size(); ++i)
     EXPECT_EQ(y_kernel[i], y_fn[i]);

@@ -191,6 +191,86 @@ TEST(Memoize, DisabledCacheIsInert) {
   EXPECT_EQ(scheduler.stats().memo_hits, 0u);
 }
 
+// ------------------------------------------------------------ coalescing ---
+
+JobOptions coalesce(const std::string& key) {
+  JobOptions opts;
+  opts.coalesce_key = key;
+  return opts;
+}
+
+/// `sched.memo` stats as the registry reports them (from the newest live
+/// scheduler, i.e. the test's own).
+core::CacheStats memo_cache_stats() {
+  for (const auto& [name, stats] : core::cache_stats_snapshot())
+    if (name == "sched.memo") return stats;
+  ADD_FAILURE() << "sched.memo is not registered";
+  return {};
+}
+
+/// Submits `riders + 1` identical coalesce_key jobs behind a gate so all but
+/// the first ride it; returns how many completions reported `rode`.
+int coalesced_burst(Scheduler& scheduler, std::atomic<int>& executions,
+                    const std::string& key, int riders) {
+  Gate gate;
+  const DevicePayload payload = [&](core::Accelerator&) {
+    executions.fetch_add(1, std::memory_order_relaxed);
+    gate.wait();
+    JobResult r;
+    r.ok = true;
+    r.summary = "coalesced";
+    return r;
+  };
+  std::mutex mutex;
+  int rode = 0, ok = 0;
+  const JobCompletion done = [&](JobOutcome&& outcome) {
+    std::lock_guard lock(mutex);
+    rode += outcome.rode ? 1 : 0;
+    ok += outcome.result.ok ? 1 : 0;
+  };
+  const int before = executions.load();
+  scheduler.submit("leader", AcceleratorKind::kClassicalCpu, payload,
+                   coalesce(key), done);
+  while (executions.load() == before) std::this_thread::yield();
+  for (int i = 0; i < riders; ++i)
+    scheduler.submit("rider", AcceleratorKind::kClassicalCpu, payload,
+                     coalesce(key), done);
+  gate.release();
+  scheduler.drain();
+  std::lock_guard lock(mutex);
+  EXPECT_EQ(ok, riders + 1);
+  return rode;
+}
+
+TEST(Memoize, CoalesceFlightCollapsesButNeverWritesTheMemoCache) {
+  ScopedCacheEnabled on(true);
+  Scheduler scheduler;
+  add_cpu_pool(scheduler, 2);
+  std::atomic<int> executions{0};
+  EXPECT_EQ(coalesced_burst(scheduler, executions, "c1", 3), 3);
+  EXPECT_EQ(executions.load(), 1);
+
+  // Settled means gone: the same key runs again, nothing was cached.
+  EXPECT_EQ(coalesced_burst(scheduler, executions, "c1", 0), 0);
+  EXPECT_EQ(executions.load(), 2);
+  const core::CacheStats memo = memo_cache_stats();
+  EXPECT_EQ(memo.inserts, 0u);
+  EXPECT_EQ(memo.hits + memo.misses, 0u);
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.memo_hits, 0u);
+  EXPECT_EQ(stats.memo_riders, 0u);
+}
+
+TEST(Memoize, CoalesceKeyCollapsesWithTheCacheDisabled) {
+  ScopedCacheEnabled off(false);
+  Scheduler scheduler;
+  add_cpu_pool(scheduler, 2);
+  std::atomic<int> executions{0};
+  EXPECT_EQ(coalesced_burst(scheduler, executions, "c2", 3), 3);
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(memo_cache_stats().inserts, 0u);
+}
+
 // ------------------------------------------------------- outcome fan-out ---
 
 TEST(Memoize, LeaderExceptionFansOutToRiders) {

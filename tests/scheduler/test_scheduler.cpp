@@ -10,11 +10,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <latch>
+#include <map>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "core/cache.h"
 #include "oscillator/comparator.h"
 #include "scheduler/queue.h"
 #include "telemetry/telemetry.h"
@@ -347,6 +352,196 @@ TEST(SchedulerLifecycle, DestructorCompletesExpiredAndCancelledJobs) {
     EXPECT_FALSE(r.summary.empty());
     EXPECT_EQ(r.attempts, 0u);  // none of them may ever have executed
   }
+}
+
+// --------------------------------------------------------- completions ---
+
+/// Records every firing of the completions it hands out, keyed by tag. Each
+/// completion also calls Scheduler::stats(), which takes the pool-map lock:
+/// a completion run while shutdown() holds that lock would deadlock.
+class CompletionLog {
+ public:
+  explicit CompletionLog(const Scheduler& scheduler) : scheduler_(scheduler) {}
+
+  JobCompletion tag(const std::string& name) {
+    return [this, name](JobOutcome&& outcome) {
+      (void)scheduler_.stats();
+      std::lock_guard lock(mutex_);
+      ++fired_[name];
+      outcomes_[name] = std::move(outcome);
+      cv_.notify_all();
+    };
+  }
+
+  /// The outcome of `name` once it fired (nullopt after a 10 s timeout).
+  std::optional<JobOutcome> wait(const std::string& name) {
+    std::unique_lock lock(mutex_);
+    if (!cv_.wait_for(lock, 10s, [&] { return fired_.contains(name); }))
+      return std::nullopt;
+    return outcomes_.at(name);
+  }
+
+  std::map<std::string, int> fired() const {
+    std::lock_guard lock(mutex_);
+    return fired_;
+  }
+
+ private:
+  const Scheduler& scheduler_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::map<std::string, int> fired_;
+  std::map<std::string, JobOutcome> outcomes_;
+};
+
+/// Forces the memo layer on for one test, restoring the ambient toggle.
+struct CacheOn {
+  bool previous = core::cache_enabled();
+  CacheOn() { core::set_cache_enabled(true); }
+  ~CacheOn() { core::set_cache_enabled(previous); }
+};
+
+core::JobDisposition disposition_of(const std::optional<JobOutcome>& o) {
+  return o ? o->result.disposition : core::JobDisposition::kExecuted;
+}
+
+TEST(SchedulerCompletion, FiresExactlyOnceForEveryDisposition) {
+  CacheOn cache_on;
+  const DevicePayload ok_payload = [](core::Accelerator&) {
+    return ok_result();
+  };
+  std::latch entered{1}, gate{1};
+  std::map<std::string, int> fired;
+  {
+    SchedulerConfig config;
+    config.queue_capacity = 3;
+    config.backpressure = BackpressurePolicy::kReject;
+    Scheduler scheduler(config);
+    scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                       core::CpuAccelerator::factory());
+    scheduler.add_pool(AcceleratorKind::kOscillator, 1,
+                       oscillator::OscillatorAccelerator::factory({}));
+    CompletionLog log(scheduler);
+    const auto submit = [&](const std::string& tag, DevicePayload payload,
+                            JobOptions opts = {},
+                            AcceleratorKind kind =
+                                AcceleratorKind::kClassicalCpu) {
+      scheduler.submit(tag, kind, std::move(payload), std::move(opts),
+                       log.tag(tag));
+    };
+
+    submit("executed", ok_payload);
+    const auto executed = log.wait("executed");
+    ASSERT_TRUE(executed.has_value());
+    EXPECT_TRUE(executed->result.ok);
+    EXPECT_FALSE(executed->rode);
+
+    submit("thrown", [](core::Accelerator&) -> core::JobResult {
+      throw std::runtime_error("boom");
+    });
+    const auto thrown = log.wait("thrown");
+    ASSERT_TRUE(thrown.has_value());
+    EXPECT_TRUE(thrown->thrown);
+
+    // Fails on the oscillator replica, succeeds after the hop to the CPU.
+    JobOptions fallback;
+    fallback.retry.cpu_fallback = true;
+    submit(
+        "failed-over",
+        [](core::Accelerator& a) {
+          core::JobResult r = ok_result();
+          r.ok = a.kind() == AcceleratorKind::kClassicalCpu;
+          return r;
+        },
+        fallback, AcceleratorKind::kOscillator);
+    const auto failed_over = log.wait("failed-over");
+    ASSERT_TRUE(failed_over.has_value());
+    EXPECT_TRUE(failed_over->result.ok);
+    EXPECT_TRUE(failed_over->result.degraded);
+
+    JobOptions hit;
+    hit.memo_key = "completion-hit";
+    submit("memo-primer", ok_payload, hit);
+    ASSERT_TRUE(log.wait("memo-primer").has_value());
+    submit("memo-hit", ok_payload, hit);  // replayed inside submit()
+    EXPECT_EQ(log.fired().count("memo-hit"), 1u);
+
+    // Pin the only CPU worker; everything below queues behind it.
+    submit("blocker", [&](core::Accelerator&) {
+      entered.count_down();
+      gate.wait();
+      return ok_result();
+    });
+    entered.wait();
+    JobOptions memo;
+    memo.memo_key = "completion-flight";
+    submit("memo-leader", ok_payload, memo);
+    submit("memo-rider", ok_payload, memo);
+    // The same string as a coalesce_key is a different flight.
+    JobOptions coalesce;
+    coalesce.coalesce_key = "completion-flight";
+    submit("coalesce-leader", ok_payload, coalesce);
+    submit("coalesce-rider", ok_payload, coalesce);
+    submit("queued", ok_payload);    // third and last queue slot
+    submit("rejected", ok_payload);  // refused inside submit()
+    EXPECT_EQ(disposition_of(log.wait("rejected")),
+              core::JobDisposition::kRejected);
+
+    // Shut down while the blocker still runs: its completion (and those of
+    // the flushed jobs) call stats() while shutdown() is in progress.
+    std::thread closer([&] { scheduler.shutdown(); });
+    while (scheduler.accepting()) std::this_thread::yield();
+    std::this_thread::sleep_for(20ms);  // shutdown is now joining the worker
+    gate.count_down();
+    closer.join();
+
+    for (const char* tag : {"memo-leader", "memo-rider", "coalesce-leader",
+                            "coalesce-rider", "queued"})
+      EXPECT_EQ(disposition_of(log.wait(tag)), core::JobDisposition::kFlushed)
+          << tag;
+    for (const char* tag : {"memo-rider", "coalesce-rider"})
+      EXPECT_TRUE(log.wait(tag)->rode) << tag;
+    for (const char* tag : {"memo-leader", "coalesce-leader", "memo-hit"})
+      EXPECT_FALSE(log.wait(tag)->rode) << tag;
+    fired = log.fired();
+  }
+
+  // Shed is a kShedOldest verdict: the newcomer evicts the queued victim.
+  {
+    std::latch shed_entered{1}, shed_gate{1};
+    SchedulerConfig config;
+    config.queue_capacity = 1;
+    config.backpressure = BackpressurePolicy::kShedOldest;
+    Scheduler scheduler(config);
+    scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                       core::CpuAccelerator::factory());
+    CompletionLog log(scheduler);
+    scheduler.submit("shed-blocker", AcceleratorKind::kClassicalCpu,
+                     [&](core::Accelerator&) {
+                       shed_entered.count_down();
+                       shed_gate.wait();
+                       return ok_result();
+                     },
+                     {}, log.tag("shed-blocker"));
+    shed_entered.wait();
+    scheduler.submit("shed", AcceleratorKind::kClassicalCpu, ok_payload, {},
+                     log.tag("shed"));
+    scheduler.submit("newcomer", AcceleratorKind::kClassicalCpu, ok_payload,
+                     {}, log.tag("newcomer"));
+    EXPECT_EQ(disposition_of(log.wait("shed")), core::JobDisposition::kShed);
+    shed_gate.count_down();
+    ASSERT_TRUE(log.wait("newcomer").has_value());
+    scheduler.shutdown();
+    for (const auto& [tag, count] : log.fired()) fired[tag] += count;
+  }
+
+  const std::map<std::string, int> once = {
+      {"executed", 1},       {"thrown", 1},        {"failed-over", 1},
+      {"memo-primer", 1},    {"memo-hit", 1},      {"blocker", 1},
+      {"memo-leader", 1},    {"memo-rider", 1},    {"coalesce-leader", 1},
+      {"coalesce-rider", 1}, {"queued", 1},        {"rejected", 1},
+      {"shed-blocker", 1},   {"shed", 1},          {"newcomer", 1}};
+  EXPECT_EQ(fired, once);
 }
 
 TEST(SchedulerBatch, FanOutReturnsFuturesInSubmissionOrder) {
