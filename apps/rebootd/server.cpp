@@ -418,11 +418,13 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
         resp.retry_after_ms = overload_retry_hint(kind);
     }
     if (outcome.rode) TELEM_COUNT("net.coalesced");
-    send_response(conn, resp);
+    // Record and release before replying: a client acting on its reply
+    // must find its own request counted and its tenant slot free.
     TELEM_RECORD("net.request_seconds",
                  std::chrono::duration<core::Real>(Clock::now() - received)
                      .count());
     governor_.release(tenant);
+    send_response(conn, resp);
     // A remote chain is closed by the client's recv; ending it here too
     // would give the flow two heads in the merged view.
     if (remote)
@@ -441,8 +443,8 @@ void Server::handle_submit(const std::shared_ptr<Connection>& conn,
     // answer typed here.
     reject.status = net::Status::kShuttingDown;
     reject.summary = e.what();
-    send_response(conn, reject);
     governor_.release(req.tenant);
+    send_response(conn, reject);
   }
 }
 

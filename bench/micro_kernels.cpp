@@ -29,6 +29,52 @@ void BM_StateVectorHadamard(benchmark::State& state) {
 }
 BENCHMARK(BM_StateVectorHadamard)->Arg(10)->Arg(16)->Arg(20);
 
+// One gate class at one target on 16 qubits. Each reports the full vector,
+// 2^16 amplitudes per gate, as its items and in the per_amp counter
+// (seconds per amplitude, printed with an SI prefix: "1.5n" is 1.5 ns/amp),
+// whatever share of it the kernel touches (a quarter for CZ), so the classes
+// compare at equal state size. Targets 0 and 1 give the strided kernel runs
+// of 1 and 2 contiguous pairs and keep their own rows.
+void gate_per_target(benchmark::State& state, const quantum::Gate2x2& g,
+                     bool controlled) {
+  constexpr std::size_t kQubits = 16;
+  const auto target = static_cast<std::size_t>(state.range(0));
+  quantum::StateVector sv(kQubits);
+  const auto h = quantum::gate_matrix(quantum::GateKind::kH);
+  for (std::size_t q = 0; q < kQubits; ++q) sv.apply_1q(h, q);
+  // The control sits next to the target, so CZ at target 0 walks runs of 1.
+  const std::size_t controls[] = {target == 0 ? 1 : target - 1};
+  for (auto _ : state) {
+    if (controlled)
+      sv.apply_controlled(g, controls, target);
+    else
+      sv.apply_1q(g, target);
+    benchmark::DoNotOptimize(sv.amplitudes().data());
+    benchmark::ClobberMemory();
+  }
+  const auto amps = static_cast<std::int64_t>(state.iterations()) *
+                    static_cast<std::int64_t>(1ull << kQubits);
+  state.SetItemsProcessed(amps);
+  state.counters["per_amp"] = benchmark::Counter(
+      static_cast<double>(amps),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_Gate16Dense(benchmark::State& state) {
+  gate_per_target(state, quantum::gate_matrix(quantum::GateKind::kRy, 0.7),
+                  false);
+}
+void BM_Gate16Diagonal(benchmark::State& state) {
+  gate_per_target(state, quantum::gate_matrix(quantum::GateKind::kRz, 0.7),
+                  false);
+}
+void BM_Gate16Cz(benchmark::State& state) {
+  gate_per_target(state, quantum::gate_matrix(quantum::GateKind::kZ), true);
+}
+BENCHMARK(BM_Gate16Dense)->Arg(0)->Arg(1)->Arg(8)->Arg(15);
+BENCHMARK(BM_Gate16Diagonal)->Arg(0)->Arg(1)->Arg(8)->Arg(15);
+BENCHMARK(BM_Gate16Cz)->Arg(0)->Arg(1)->Arg(8)->Arg(15);
+
 void BM_DmmStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   core::Rng rng(1);

@@ -127,8 +127,7 @@ QaoaResult qaoa_ising(std::size_t num_spins,
   // Sample the optimized state, keep the best measured configuration.
   const StateVector state = eval.prepare(gammas, betas);
   result.best_energy = 1e300;
-  for (std::size_t shot = 0; shot < opts.samples; ++shot) {
-    const std::uint64_t s = state.sample(rng);
+  for (const std::uint64_t s : state.sample(opts.samples, rng)) {
     const Real e = eval.energies[s];
     if (e < result.best_energy) {
       result.best_energy = e;

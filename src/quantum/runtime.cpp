@@ -130,8 +130,7 @@ ExecutionResult QuantumAccelerator::run(const Circuit& circuit,
     StateVector state(prog.circuit.num_qubits());
     for (const Operation& op : prog.circuit.operations())
       apply_operation(state, op);
-    for (std::size_t s = 0; s < shots; ++s) {
-      const std::uint64_t physical = state.sample(rng);
+    for (const std::uint64_t physical : state.sample(shots, rng)) {
       std::uint64_t logical = 0;
       for (std::size_t l = 0; l < circuit.num_qubits(); ++l)
         if (physical & (1ull << final_map[l])) logical |= 1ull << l;

@@ -1,6 +1,9 @@
 #include "quantum/state.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "telemetry/telemetry.h"
@@ -18,16 +21,7 @@ void StateVector::apply_1q(const Gate2x2& g, std::size_t target) {
   TELEM_SPAN("quantum.apply_1q");
   if (target >= num_qubits_)
     throw std::invalid_argument("apply_1q: target out of range");
-  const std::uint64_t bit = 1ull << target;
-  const std::uint64_t dim = amps_.size();
-  for (std::uint64_t base = 0; base < dim; ++base) {
-    if (base & bit) continue;  // visit each pair once, from its |0> member
-    const std::uint64_t other = base | bit;
-    const Complex a0 = amps_[base];
-    const Complex a1 = amps_[other];
-    amps_[base] = g.m00 * a0 + g.m01 * a1;
-    amps_[other] = g.m10 * a0 + g.m11 * a1;
-  }
+  apply_strided(g, 0, target);
 }
 
 void StateVector::apply_controlled(const Gate2x2& g,
@@ -42,16 +36,70 @@ void StateVector::apply_controlled(const Gate2x2& g,
       throw std::invalid_argument("apply_controlled: bad control");
     cmask |= 1ull << c;
   }
+  apply_strided(g, cmask, target);
+}
+
+namespace {
+
+/// In-place amp *= (cr + i ci) on one interleaved re/im pair: the products
+/// and sums std::complex forms on finite values, without the __muldc3 call.
+inline void scale(double* amp, double cr, double ci) {
+  const double re = amp[0];
+  const double im = amp[1];
+  amp[0] = cr * re - ci * im;
+  amp[1] = cr * im + ci * re;
+}
+
+}  // namespace
+
+// The pairs to visit are the indices with every cmask bit set and the target
+// bit clear. The lowest fixed bit (a control or the target) bounds a run of
+// contiguous indices that all qualify; the runs' starts are the subsets of
+// the free bits above it, stepped through in increasing order by a carry
+// that skips the fixed bits ((y | ~free) + 1) & free, with cmask OR-ed in.
+// Nothing is scanned and thrown away. The coefficients live in locals, so
+// stores through the amplitude pointer cannot force them to be reloaded.
+void StateVector::apply_strided(const Gate2x2& g, std::uint64_t cmask,
+                                std::size_t target) {
+  const double g00r = g.m00.real(), g00i = g.m00.imag();
+  const double g01r = g.m01.real(), g01i = g.m01.imag();
+  const double g10r = g.m10.real(), g10i = g.m10.imag();
+  const double g11r = g.m11.real(), g11i = g.m11.imag();
+  const bool diagonal = g.m01 == Complex{} && g.m10 == Complex{};
+  // Multiplying by exactly 1 leaves a finite amplitude unchanged, so the
+  // diagonal path skips that half (Z, S, T, phase: only the |1> half moves).
+  const bool scale0 = !diagonal || g.m00 != Complex{1.0, 0.0};
+  const bool scale1 = !diagonal || g.m11 != Complex{1.0, 0.0};
+  if (!scale0 && !scale1) return;
+
   const std::uint64_t bit = 1ull << target;
-  const std::uint64_t dim = amps_.size();
-  for (std::uint64_t base = 0; base < dim; ++base) {
-    if (base & bit) continue;
-    if ((base & cmask) != cmask) continue;
-    const std::uint64_t other = base | bit;
-    const Complex a0 = amps_[base];
-    const Complex a1 = amps_[other];
-    amps_[base] = g.m00 * a0 + g.m01 * a1;
-    amps_[other] = g.m10 * a0 + g.m11 * a1;
+  const std::uint64_t fixed = cmask | bit;
+  const std::uint64_t run = fixed & -fixed;  // 2^(lowest fixed position)
+  const std::uint64_t free = (amps_.size() - 1) & ~fixed & ~(run - 1);
+  const std::uint64_t blocks = 1ull << std::popcount(free);
+  const std::uint64_t end = 2 * run;  // a run in doubles
+
+  // std::complex<T> arrays may be accessed as interleaved T re/im pairs.
+  double* const amps = reinterpret_cast<double*>(amps_.data());
+  std::uint64_t y = 0;
+  for (std::uint64_t b = 0; b < blocks; ++b, y = ((y | ~free) + 1) & free) {
+    double* const p0 = amps + 2 * (y | cmask);
+    double* const p1 = amps + 2 * (y | cmask | bit);
+    if (diagonal) {
+      if (scale0)
+        for (std::uint64_t j = 0; j < end; j += 2) scale(p0 + j, g00r, g00i);
+      if (scale1)
+        for (std::uint64_t j = 0; j < end; j += 2) scale(p1 + j, g11r, g11i);
+      continue;
+    }
+    for (std::uint64_t j = 0; j < end; j += 2) {
+      const double a0r = p0[j], a0i = p0[j + 1];
+      const double a1r = p1[j], a1i = p1[j + 1];
+      p0[j] = (g00r * a0r - g00i * a0i) + (g01r * a1r - g01i * a1i);
+      p0[j + 1] = (g00r * a0i + g00i * a0r) + (g01r * a1i + g01i * a1r);
+      p1[j] = (g10r * a0r - g10i * a0i) + (g11r * a1r - g11i * a1i);
+      p1[j + 1] = (g10r * a0i + g10i * a0r) + (g11r * a1i + g11i * a1r);
+    }
   }
 }
 
@@ -85,12 +133,19 @@ std::vector<Real> StateVector::probabilities() const {
 }
 
 std::uint64_t StateVector::sample(core::Rng& rng) const {
-  Real r = rng.uniform();
-  for (std::uint64_t s = 0; s + 1 < amps_.size(); ++s) {
-    r -= std::norm(amps_[s]);
-    if (r <= 0.0) return s;
-  }
-  return amps_.size() - 1;
+  return sample(1, rng)[0];
+}
+
+std::vector<std::uint64_t> StateVector::sample(std::size_t shots,
+                                               core::Rng& rng) const {
+  std::vector<Real> cumulative(amps_.size());
+  Real sum = 0.0;
+  for (std::uint64_t s = 0; s < amps_.size(); ++s)
+    cumulative[s] = sum += std::norm(amps_[s]);
+  std::vector<std::uint64_t> outcomes(shots);
+  for (std::uint64_t& outcome : outcomes)
+    outcome = pick_outcome(cumulative, rng.uniform());
+  return outcomes;
 }
 
 bool StateVector::measure_qubit(std::size_t qubit, core::Rng& rng) {
@@ -122,6 +177,16 @@ Real StateVector::fidelity(const StateVector& other) const {
   for (std::uint64_t s = 0; s < amps_.size(); ++s)
     overlap += std::conj(amps_[s]) * other.amps_[s];
   return std::norm(overlap);
+}
+
+std::uint64_t pick_outcome(std::span<const Real> cumulative, Real r) {
+  if (cumulative.empty())
+    throw std::invalid_argument("pick_outcome: empty distribution");
+  r = std::min(std::max(r, std::numeric_limits<Real>::denorm_min()),
+               cumulative.back());
+  return static_cast<std::uint64_t>(
+      std::lower_bound(cumulative.begin(), cumulative.end(), r) -
+      cumulative.begin());
 }
 
 }  // namespace rebooting::quantum

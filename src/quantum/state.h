@@ -41,6 +41,8 @@ class StateVector {
   void apply_1q(const Gate2x2& g, std::size_t target);
 
   /// Applies the unitary to `target` controlled on all `controls` being 1.
+  /// Only the 2^(n-k) amplitudes whose k controls are all set are touched;
+  /// a diagonal gate touches only the ones it scales (a quarter for CZ).
   void apply_controlled(const Gate2x2& g, std::span<const std::size_t> controls,
                         std::size_t target);
 
@@ -72,7 +74,13 @@ class StateVector {
   std::vector<Real> probabilities() const;
 
   /// Samples a full computational-basis measurement without collapsing.
+  /// Same as sample(1, rng)[0].
   std::uint64_t sample(core::Rng& rng) const;
+
+  /// Samples `shots` measurements without collapsing: prefix sums of |amp|^2
+  /// once, then one rng.uniform() per shot, in order, mapped by
+  /// pick_outcome. O(2^n + shots * n).
+  std::vector<std::uint64_t> sample(std::size_t shots, core::Rng& rng) const;
 
   /// Measures one qubit, collapses the state, returns the outcome.
   bool measure_qubit(std::size_t qubit, core::Rng& rng);
@@ -84,8 +92,21 @@ class StateVector {
   Real fidelity(const StateVector& other) const;
 
  private:
+  /// The one gate kernel: applies g to every (|..0..>, |..1..>) pair on
+  /// `target` whose `cmask` bits are all set, visiting only those pairs.
+  void apply_strided(const Gate2x2& g, std::uint64_t cmask,
+                     std::size_t target);
+
   std::size_t num_qubits_;
   std::vector<Complex> amps_;
 };
+
+/// The sampling rule. `cumulative` holds the prefix sums of a distribution
+/// over basis states; returns the first s with r <= cumulative[s], with r
+/// clamped into (0, cumulative.back()] first, so a draw of exactly 0 or one
+/// that rounding leaves above the total still lands on a state of nonzero
+/// probability (the last such state, for a draw above the total). Binary
+/// search, O(log size).
+std::uint64_t pick_outcome(std::span<const Real> cumulative, Real r);
 
 }  // namespace rebooting::quantum

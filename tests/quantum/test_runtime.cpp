@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/cache.h"
 #include "quantum/canonical.h"
 
@@ -133,6 +135,34 @@ TEST(Runtime, StackLayersDescribeFigTwo) {
   const auto layers = acc.stack_layers();
   EXPECT_EQ(layers.size(), 6u);  // the six layers of Fig. 2
   EXPECT_EQ(acc.kind(), core::AcceleratorKind::kQuantum);
+}
+
+TEST(Runtime, FastPathCountsEqualSingleShotSampling) {
+  // A line topology, so routing leaves a nontrivial final map to undo.
+  Circuit c(5);
+  for (std::size_t q = 0; q < 5; ++q) c.h(q).ry(q, 0.3 + 0.2 * q);
+  c.cx(0, 4).cz(1, 3).rz(2, 0.9).cx(4, 2);
+  const QuantumAccelerator acc({.topology = Topology::line(5)});
+  core::Rng rng(77);
+  const ExecutionResult r = acc.run(c, 3000, rng);
+
+  // The same program, state and logical mapping by hand, one sample(rng)
+  // call per shot.
+  std::vector<std::size_t> perm;
+  const auto prog = compile_cached(c, acc.config().topology,
+                                   acc.config().enable_optimizer, &perm);
+  const StateVector state = simulate(prog->circuit);
+  core::Rng expect_rng(77);
+  std::map<std::uint64_t, std::size_t> expected;
+  for (std::size_t shot = 0; shot < 3000; ++shot) {
+    const std::uint64_t physical = state.sample(expect_rng);
+    std::uint64_t logical = 0;
+    for (std::size_t l = 0; l < 5; ++l)
+      if (physical >> prog->final_map[perm[l]] & 1) logical |= 1ull << l;
+    ++expected[logical];
+  }
+  EXPECT_EQ(r.counts, expected);
+  EXPECT_GT(expected.size(), 4u);
 }
 
 }  // namespace
