@@ -10,8 +10,15 @@
 //       the solution is reached (a repeat would witness a periodic orbit of
 //       the digitized trajectory);
 //   (d) attractor: once a solution is reached, it persists.
+//
+// Exit-gated: exits 1 when a trajectory's max |v| exceeds 1 + 1e-12, its
+// clause energy does not end below where it started, or the 50k-step
+// persistence run loses the solution (best unsatisfied > 0) or ends at a
+// nonzero clause energy. The verdict goes to stderr, so stdout is the
+// tables alone.
 #include <iostream>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/ensemble.h"
@@ -91,8 +98,16 @@ int main() {
                      "clause energy start", "clause energy end",
                      "peak energy (2nd half)", "total sign flips"},
                     3);
+  std::vector<std::string> failures;
   for (std::size_t i = 0; i < kTrajectories; ++i) {
     const TrajectoryReport& rep = reports[i];
+    const std::string name = "instance " + std::to_string(i);
+    if (!(rep.max_abs_v <= 1.0 + 1e-12))
+      failures.push_back(name + ": max |v| = " + std::to_string(rep.max_abs_v));
+    if (!(rep.energy_end < rep.energy_start))
+      failures.push_back(name + ": clause energy did not descend (" +
+                         std::to_string(rep.energy_start) + " -> " +
+                         std::to_string(rep.energy_end) + ")");
     table.add_row({static_cast<std::int64_t>(i),
                    std::string(rep.solved ? "yes" : "no"),
                    static_cast<std::int64_t>(rep.steps), rep.max_abs_v,
@@ -112,12 +127,24 @@ int main() {
   opts.max_steps = 50'000;
   opts.energy_stride = 10;
   const DmmResult r = DmmSolver(inst.cnf, opts).solve(rng);
+  const core::Real final_energy =
+      r.energy_trace.empty() ? 0.0 : r.energy_trace.back();
   std::cout << "best unsatisfied clauses over a " << r.steps
             << "-step run: " << r.best_unsatisfied
             << " (0 = the solution attractor was reached and retained)\n";
-  std::cout << "final clause energy: "
-            << (r.energy_trace.empty() ? 0.0 : r.energy_trace.back())
+  std::cout << "final clause energy: " << final_energy
             << " (monotone approach to the attractor => no periodic orbit "
                "or chaotic wandering)\n";
+  if (r.best_unsatisfied != 0)
+    failures.push_back("persistence run: best unsatisfied = " +
+                       std::to_string(r.best_unsatisfied));
+  if (final_energy != 0.0)
+    failures.push_back("persistence run: final clause energy = " +
+                       std::to_string(final_energy));
+
+  for (const std::string& f : failures)
+    std::cerr << "E7 gate FAIL: " << f << '\n';
+  if (!failures.empty()) return 1;
+  std::cerr << "E7 gate: PASS\n";
   return 0;
 }
