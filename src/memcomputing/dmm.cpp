@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 #include "telemetry/telemetry.h"
@@ -10,87 +11,143 @@
 namespace rebooting::memcomputing {
 
 DmmSolver::DmmSolver(const Cnf& cnf, DmmOptions options)
-    : cnf_(cnf), opts_(options) {
-  if (cnf.num_variables() == 0 || cnf.num_clauses() == 0)
+    : opts_(options), n_(cnf.num_variables()) {
+  const std::size_t m = cnf.num_clauses();
+  if (n_ == 0 || m == 0)
     throw std::invalid_argument("DmmSolver: empty formula");
-  clauses_.reserve(cnf.num_clauses());
+  std::size_t literals = 0;
+  for (const Clause& c : cnf.clauses()) literals += c.literals.size();
+  constexpr std::size_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+  if (n_ > kMaxIndex || m > kMaxIndex || literals > kMaxIndex)
+    throw std::invalid_argument("DmmSolver: formula too large");
+
+  start_.reserve(m + 1);
+  var_.reserve(literals);
+  q_.reserve(literals);
+  weight_.reserve(m);
+  occ_start_.assign(n_ + 1, 0);
+  width3_ = true;
+  start_.push_back(0);
   for (const Clause& c : cnf.clauses()) {
-    ClauseData d;
-    d.weight = c.weight;
-    d.vars.reserve(c.literals.size());
-    d.q.reserve(c.literals.size());
     for (const Literal lit : c.literals) {
-      d.vars.push_back(static_cast<std::size_t>(std::abs(lit)) - 1);
-      d.q.push_back(lit > 0 ? 1.0 : -1.0);
+      const auto var = static_cast<std::uint32_t>(std::abs(lit)) - 1;
+      var_.push_back(var);
+      q_.push_back(lit > 0 ? 1.0 : -1.0);
+      ++occ_start_[var + 1];
     }
-    clauses_.push_back(std::move(d));
+    start_.push_back(static_cast<std::uint32_t>(var_.size()));
+    weight_.push_back(c.weight);
+    width3_ = width3_ && c.literals.size() == 3;
+  }
+
+  // Occurrence counts -> offsets, then scatter each literal into its
+  // variable's list; scanning clauses in order keeps every list in order.
+  for (std::size_t i = 0; i < n_; ++i) occ_start_[i + 1] += occ_start_[i];
+  occ_clause_.resize(literals);
+  occ_positive_.resize(literals);
+  std::vector<std::uint32_t> next(occ_start_.begin(), occ_start_.end() - 1);
+  for (std::uint32_t c = 0; c < m; ++c) {
+    for (std::uint32_t j = start_[c]; j < start_[c + 1]; ++j) {
+      const std::uint32_t o = next[var_[j]]++;
+      occ_clause_[o] = c;
+      occ_positive_[o] = q_[j] > 0.0 ? 1 : 0;
+    }
   }
 }
 
-// Static-dispatch dynamics kernel over the packed state y = [v | xs | xl]
-// (n voltages, then m fast memories, then m slow memories). rhs() is the one
-// clause sweep of Eqs. 1-2: it fills dydt with (dv, dxs, dxl) and leaves the
-// summed clause unsatisfaction in clause_energy for the energy traces. The
-// solve loop calls it directly (no std::function), so the compiler inlines
-// the sweep into the stepping loop.
-struct DmmSolver::Kernel {
-  const DmmSolver& solver;
-  Real clause_energy = 0.0;
+// The one clause sweep of Eqs. 1-2. The packed state is y = [v | xs | xl]
+// (n voltages, then m fast memories, then m slow memories) and dydt is laid
+// out the same way. The parameters and array bases are __restrict locals, so
+// a store to dv[...] cannot force a reload of v, q or the clause's memories,
+// and the running smallest / second-smallest (1 - q v) and its index are
+// selects, not an if / else-if chain. With K = 3 the literal loops have a
+// fixed trip count and unroll; K = 0 reads each width from start_. Every
+// expression, and the clause order of the dv[var] += updates, must stay
+// that of the reference loop in tests/memcomputing/test_dmm.cpp
+// (DmmOracle): the trajectory is bit-identical to it for either K.
+template <std::size_t K>
+Real DmmSolver::sweep(const Real* __restrict y, Real* __restrict dydt) const {
+  const std::size_t n = n_;
+  const std::size_t m = weight_.size();
+  const Real* __restrict v = y;
+  const Real* __restrict xs = y + n;
+  const Real* __restrict xl = y + n + m;
+  Real* __restrict dv = dydt;
+  Real* __restrict dxs = dydt + n;
+  Real* __restrict dxl = dydt + n + m;
+  const std::uint32_t* __restrict start = start_.data();
+  const std::uint32_t* __restrict var = var_.data();
+  const Real* __restrict q = q_.data();
+  const Real* __restrict weight = weight_.data();
+  const DmmParams& p = opts_.params;
+  const Real alpha = p.alpha, beta = p.beta, gamma = p.gamma;
+  const Real delta = p.delta, epsilon = p.epsilon, zeta = p.zeta;
+  const bool rigidity = p.rigidity;
+  const bool long_term_memory = p.long_term_memory;
 
-  void rhs(Real /*t*/, std::span<const Real> y, std::span<Real> dydt) {
-    const std::size_t n = solver.cnf_.num_variables();
-    const std::size_t m = solver.clauses_.size();
-    const DmmParams& p = solver.opts_.params;
-    const auto v = y.first(n);
-    const auto xs = y.subspan(n, m);
-    const auto xl = y.subspan(n + m, m);
-    const auto dv = dydt.first(n);
-    const auto dxs = dydt.subspan(n, m);
-    const auto dxl = dydt.subspan(n + m, m);
+  std::fill(dv, dv + n, 0.0);
+  Real energy = 0.0;
+  for (std::size_t cm = 0; cm < m; ++cm) {
+    const std::size_t lo = K > 0 ? K * cm : start[cm];
+    const std::size_t k = K > 0 ? K : start[cm + 1] - lo;
+    const std::uint32_t* const cvar = var + lo;
+    const Real* const cq = q + lo;
 
-    std::fill(dv.begin(), dv.end(), 0.0);
-    clause_energy = 0.0;
-    for (std::size_t cm = 0; cm < m; ++cm) {
-      const ClauseData& c = solver.clauses_[cm];
-      const std::size_t k = c.vars.size();
-
-      // Smallest and second-smallest (1 - q v) over the clause's literals.
-      Real min1 = 2.0, min2 = 2.0;
-      std::size_t arg1 = 0;
-      for (std::size_t i = 0; i < k; ++i) {
-        const Real s = 1.0 - c.q[i] * v[c.vars[i]];
-        if (s < min1) {
-          min2 = min1;
-          min1 = s;
-          arg1 = i;
-        } else if (s < min2) {
-          min2 = s;
-        }
-      }
-      const Real cmeas = 0.5 * min1;  // C_m in [0, 1]
-      clause_energy += cmeas;
-
-      const Real gate_g = xl[cm] * xs[cm];
-      const Real gate_r = (1.0 + p.zeta * xl[cm]) * (1.0 - xs[cm]);
-      for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t var = c.vars[i];
-        // Gradient-like term: push literal i toward satisfaction, scaled by
-        // how far the *other* literals are from satisfying the clause.
-        const Real min_excl = (i == arg1) ? min2 : min1;
-        const Real g_term = 0.5 * c.q[i] * min_excl;
-        Real r_term = 0.0;
-        if (p.rigidity && i == arg1) {
-          // Rigidity holds the critical literal at its target.
-          r_term = 0.5 * (c.q[i] - v[var]);
-        }
-        dv[var] += c.weight * (gate_g * g_term + gate_r * r_term);
-      }
-
-      dxs[cm] = p.beta * (xs[cm] + p.epsilon) * (cmeas - p.gamma);
-      dxl[cm] = p.long_term_memory ? p.alpha * (cmeas - p.delta) : 0.0;
+    // Smallest and second-smallest (1 - q v) over the clause's literals.
+    Real min1 = 2.0, min2 = 2.0;
+    std::size_t arg1 = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      const Real s = 1.0 - cq[i] * v[cvar[i]];
+      const bool below1 = s < min1;
+      const bool below2 = s < min2;
+      min2 = below1 ? min1 : (below2 ? s : min2);
+      min1 = below1 ? s : min1;
+      arg1 = below1 ? i : arg1;
     }
+    const Real cmeas = 0.5 * min1;  // C_m in [0, 1]
+    energy += cmeas;
+
+    const Real gate_g = xl[cm] * xs[cm];
+    const Real gate_r = (1.0 + zeta * xl[cm]) * (1.0 - xs[cm]);
+    const Real w = weight[cm];
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::uint32_t vi = cvar[i];
+      const bool critical = i == arg1;
+      // Gradient-like term: push literal i toward satisfaction, scaled by
+      // how far the *other* literals are from satisfying the clause.
+      const Real min_excl = critical ? min2 : min1;
+      const Real g_term = 0.5 * cq[i] * min_excl;
+      // Rigidity holds the critical literal at its target.
+      const Real r_term =
+          rigidity && critical ? 0.5 * (cq[i] - v[vi]) : 0.0;
+      dv[vi] += w * (gate_g * g_term + gate_r * r_term);
+    }
+
+    dxs[cm] = beta * (xs[cm] + epsilon) * (cmeas - gamma);
+    dxl[cm] = long_term_memory ? alpha * (cmeas - delta) : 0.0;
   }
-};
+  return energy;
+}
+
+std::size_t DmmSolver::count_true_literals(std::span<const unsigned char> sign,
+                                           std::span<Real> true_count) const {
+  std::size_t unsat = 0;
+  for (std::size_t c = 0; c < weight_.size(); ++c) {
+    std::uint32_t count = 0;
+    for (std::uint32_t j = start_[c]; j < start_[c + 1]; ++j)
+      count += (sign[var_[j]] != 0) == (q_[j] > 0.0);
+    true_count[c] = count;
+    unsat += count == 0;
+  }
+  return unsat;
+}
+
+Real DmmSolver::unsatisfied_weight(std::span<const Real> true_count) const {
+  Real total = 0.0;
+  for (std::size_t c = 0; c < weight_.size(); ++c)
+    if (true_count[c] == 0.0) total += weight_[c];
+  return total;
+}
 
 namespace {
 
@@ -120,7 +177,7 @@ constexpr std::size_t kAuxTail = 3;
 }  // namespace
 
 DmmResult DmmSolver::solve(core::Rng& rng) const {
-  std::vector<Real> v0(cnf_.num_variables());
+  std::vector<Real> v0(n_);
   for (Real& v : v0) v = rng.uniform(-1.0, 1.0);
   return solve_from(std::move(v0), rng);
 }
@@ -145,8 +202,8 @@ DmmResult DmmSolver::solve_from(std::vector<Real> v0, core::Rng& rng,
 
 core::Checkpoint DmmSolver::begin(std::vector<Real> v0,
                                   const core::Rng& rng) const {
-  const std::size_t n = cnf_.num_variables();
-  const std::size_t m = clauses_.size();
+  const std::size_t n = n_;
+  const std::size_t m = weight_.size();
   if (v0.size() != n)
     throw std::invalid_argument("DmmSolver::begin: bad v0 size");
 
@@ -168,17 +225,17 @@ core::Checkpoint DmmSolver::begin(std::vector<Real> v0,
   ckpt.aux[kAuxBestWeight] = -1.0;  // negative = nothing recorded yet
 
   // Initial digital readout, identical to the head of the classic solve: it
-  // seeds best_unsatisfied / best assignment, and may finish the trajectory
-  // outright when v0 already satisfies the formula.
-  Assignment a(n + 1, false);
-  for (std::size_t i = 0; i < n; ++i) a[i + 1] = v0[i] > 0.0;
-  const std::size_t unsat = cnf_.count_unsatisfied(a);
-  ckpt.counters[kCtrBestUnsat] = std::min<std::uint64_t>(m, unsat);
+  // seeds best_unsatisfied / best assignment (the sign bits of v0), and may
+  // finish the trajectory outright when v0 already satisfies the formula.
+  std::vector<Real> true_count(m);
+  const std::size_t unsat = count_true_literals(
+      std::span(ckpt.flags).subspan(kFlagSign, n), true_count);
+  ckpt.counters[kCtrBestUnsat] = unsat;
   ckpt.aux[kAuxBestWeight] = opts_.maxsat_mode
-                                 ? cnf_.unsatisfied_weight(a)
+                                 ? unsatisfied_weight(true_count)
                                  : static_cast<Real>(unsat);
-  for (std::size_t i = 0; i <= n; ++i)
-    ckpt.flags[kFlagSign + n + i] = a[i] ? 1 : 0;
+  std::copy_n(ckpt.flags.begin() + kFlagSign, n,
+              ckpt.flags.begin() + kFlagSign + n + 1);
   if (unsat == 0) {
     ckpt.flags[kFlagFinished] = 1;
     ckpt.flags[kFlagSatisfied] = 1;
@@ -190,8 +247,8 @@ core::Checkpoint DmmSolver::begin(std::vector<Real> v0,
 
 DmmResult DmmSolver::result_from_checkpoint(
     const core::Checkpoint& ckpt) const {
-  const std::size_t n = cnf_.num_variables();
-  const std::size_t m = clauses_.size();
+  const std::size_t n = n_;
+  const std::size_t m = weight_.size();
   if (ckpt.tag != kDmmTag || ckpt.counters.size() < kCtrTail ||
       ckpt.counters[kCtrVars] != n || ckpt.counters[kCtrClauses] != m ||
       ckpt.flags.size() != kFlagSign + n + (n + 1) ||
@@ -227,8 +284,8 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
                                    core::Workspace& ws) const {
   TELEM_SPAN("dmm.solve");
   TELEM_TRACE_SCOPE("dmm.solve");
-  const std::size_t n = cnf_.num_variables();
-  const std::size_t m = clauses_.size();
+  const std::size_t n = n_;
+  const std::size_t m = weight_.size();
   if (ckpt.tag != kDmmTag || ckpt.counters.size() < kCtrTail ||
       ckpt.counters[kCtrVars] != n || ckpt.counters[kCtrClauses] != m ||
       ckpt.flags.size() != kFlagSign + n + (n + 1) ||
@@ -254,13 +311,17 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
   constexpr std::size_t kEnergyTelemStride = 64;
 
   // All integration scratch comes from the workspace: packed state y, its
-  // derivative, and the digital sign bits. The Scope recycles the blocks for
-  // the next slice on this thread; resumable state is copied in from the
-  // checkpoint here and copied back out at every slice boundary.
+  // derivative, the digital sign bits and each clause's count of true
+  // literals under them (small integers, exact in a Real). The Scope
+  // recycles the blocks for the next slice on this thread; resumable state
+  // is copied in from the checkpoint here and copied back out at every slice
+  // boundary. The counts are not parked: they are a function of the sign
+  // bits, rebuilt here.
   const auto ws_scope = ws.scope();
   const std::span<Real> y = ws.real(n + 2 * m);
   const std::span<Real> dydt = ws.real(n + 2 * m);
   const std::span<unsigned char> sign_bit = ws.bytes(n);
+  const std::span<Real> true_count = ws.real(m);
 
   const auto v = y.first(n);
   const auto xs = y.subspan(n, m);
@@ -272,9 +333,11 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
   std::copy(ckpt.state.begin(), ckpt.state.end(), y.begin());
   std::copy(ckpt.flags.begin() + kFlagSign,
             ckpt.flags.begin() + kFlagSign + n, sign_bit.begin());
+  // Invariant from here on: unsat == the number of zeros in true_count, and
+  // true_count[c] == clause c's true literals under sign_bit.
+  std::size_t unsat = count_true_literals(sign_bit, true_count);
 
   core::Rng rng = core::Rng::restore(ckpt.rng);
-  Kernel kernel{*this};
 
   DmmResult result;
   result.steps = static_cast<std::size_t>(ckpt.step);
@@ -319,20 +382,34 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
     }
   } telem_flush{result, steps_at_entry, dt_clamped_min, dt_clamped_max, m};
 
-  Assignment a(n + 1, false);
+  // Variable i's sign became s: move the true-literal count of every clause
+  // it occurs in, and the unsatisfied count with them (make / break).
+  const std::uint32_t* const occ_start = occ_start_.data();
+  const std::uint32_t* const occ_clause = occ_clause_.data();
+  const unsigned char* const occ_positive = occ_positive_.data();
+  const auto flip = [&](std::size_t i, unsigned char s) {
+    for (std::uint32_t o = occ_start[i]; o < occ_start[i + 1]; ++o) {
+      Real& count = true_count[occ_clause[o]];
+      if (occ_positive[o] == s)
+        unsat -= count++ == 0.0;
+      else
+        unsat += --count == 0.0;
+    }
+  };
+
+  // The digital readout: the unsatisfied count is already current; the
+  // sign bits are copied out only when the best improves.
   const auto evaluate_assignment = [&]() {
     TELEM_SPAN("dmm.evaluate_assignment");
-    for (std::size_t i = 0; i < n; ++i) a[i + 1] = v[i] > 0.0;
-    const std::size_t unsat = cnf_.count_unsatisfied(a);
     result.best_unsatisfied = std::min(result.best_unsatisfied, unsat);
-    const Real w = opts_.maxsat_mode ? cnf_.unsatisfied_weight(a)
+    const Real w = opts_.maxsat_mode ? unsatisfied_weight(true_count)
                                      : static_cast<Real>(unsat);
     if (best_weight < 0.0 || w < best_weight) {
       best_weight = w;
-      result.assignment = a;
+      for (std::size_t i = 0; i < n; ++i)
+        result.assignment[i + 1] = sign_bit[i] != 0;
       result.steps_to_best = result.steps;
     }
-    return unsat;
   };
 
   const Real xl_ceiling = p.xl_max * static_cast<Real>(m);
@@ -341,7 +418,8 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
 
   for (std::size_t step = result.steps; step < opts_.max_steps; ++step) {
     if (clock.exhausted(step - steps_at_entry)) break;
-    kernel.rhs(result.sim_time, y, dydt);
+    const Real clause_energy = width3_ ? sweep<3>(y.data(), dydt.data())
+                                       : sweep<0>(y.data(), dydt.data());
 
     // Adaptive forward-Euler step from the largest voltage rate.
     Real max_rate = 0.0;
@@ -365,6 +443,7 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
       if (s != sign_bit[i]) {
         sign_bit[i] = s;
         ++flips;
+        flip(i, s);
       }
     }
     for (std::size_t cm = 0; cm < m; ++cm) {
@@ -377,19 +456,19 @@ DmmSliceOutcome DmmSolver::advance(core::Checkpoint& ckpt,
     if (opts_.track_avalanches && flips > 0)
       result.avalanche_sizes.push_back(flips);
     if (opts_.energy_stride > 0 && step % opts_.energy_stride == 0)
-      result.energy_trace.push_back(kernel.clause_energy);
+      result.energy_trace.push_back(clause_energy);
     if (step % kEnergyTelemStride == 0) {
       if (telem)
         telemetry::Telemetry::instance().metrics().record(
-            "dmm.clause_energy", kernel.clause_energy);
+            "dmm.clause_energy", clause_energy);
       // Same decimation keeps the timeline's energy track bounded: one
       // sample per 64 integration steps, not one per step.
-      TELEM_TRACE_COUNTER("dmm.clause_energy", kernel.clause_energy);
+      TELEM_TRACE_COUNTER("dmm.clause_energy", clause_energy);
     }
 
     // The digital readout only changes when some voltage crossed zero.
     if (flips > 0) {
-      const std::size_t unsat = evaluate_assignment();
+      evaluate_assignment();
       if (unsat == 0 && !opts_.maxsat_mode) {
         result.satisfied = true;
         result.best_unsatisfied = 0;
@@ -464,7 +543,7 @@ bool DmmSolver::solve_ensemble_slice(std::size_t restarts,
           // counter-based stream — bit-identical at any thread count, any
           // slicing, and across process restarts.
           core::Rng rng = core::Rng::stream(base_seed, i);
-          std::vector<Real> v0(cnf_.num_variables());
+          std::vector<Real> v0(n_);
           for (Real& v : v0) v = rng.uniform(-1.0, 1.0);
           traj = begin(std::move(v0), rng);
         }

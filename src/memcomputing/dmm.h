@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/dynamics.h"
@@ -121,6 +122,9 @@ struct DmmSliceOutcome {
 
 class DmmSolver {
  public:
+  /// Copies the formula into the solver's own flat arrays, so `cnf` may be a
+  /// temporary. Throws std::invalid_argument on an empty formula or one too
+  /// large for 32-bit indices.
   DmmSolver(const Cnf& cnf, DmmOptions options);
 
   /// Integrates one trajectory from random initial voltages.
@@ -180,16 +184,38 @@ class DmmSolver {
                             DmmEnsembleResult* result = nullptr) const;
 
  private:
-  struct ClauseData {
-    std::vector<std::size_t> vars;  ///< 0-based variable indices
-    std::vector<Real> q;            ///< +1 / -1 literal signs
-    Real weight = 1.0;
-  };
-  struct Kernel;  // static-dispatch RHS over packed state [v | xs | xl]
+  /// The clause sweep of Eqs. 1-2 over packed state y = [v | xs | xl]: fills
+  /// dydt and returns the summed clause unsatisfaction. K is the clause
+  /// width fixed at compile time (every clause has K literals), or 0 to read
+  /// each clause's width from start_.
+  template <std::size_t K>
+  Real sweep(const Real* y, Real* dydt) const;
 
-  const Cnf& cnf_;
+  /// Writes each clause's number of true literals under `sign` (one byte per
+  /// variable, 1 = true) into `true_count`, as exact small integers; returns
+  /// how many clauses have none.
+  std::size_t count_true_literals(std::span<const unsigned char> sign,
+                                  std::span<Real> true_count) const;
+
+  /// Sum of the weights of the clauses with no true literal, in clause
+  /// order: the same float sum as Cnf::unsatisfied_weight.
+  Real unsatisfied_weight(std::span<const Real> true_count) const;
+
   DmmOptions opts_;
-  std::vector<ClauseData> clauses_;
+  std::size_t n_ = 0;  ///< variables
+  // The formula, owned, as flat (CSR) arrays: clause c holds the literals
+  // [start_[c], start_[c + 1]) of var_ (0-based variable) and q_ (+1 / -1).
+  std::vector<std::uint32_t> start_;
+  std::vector<std::uint32_t> var_;
+  std::vector<Real> q_;
+  std::vector<Real> weight_;
+  // The transpose: variable i occurs as the literals
+  // [occ_start_[i], occ_start_[i + 1]) of occ_clause_ (its clause) and
+  // occ_positive_ (1 = positive literal), in clause order.
+  std::vector<std::uint32_t> occ_start_;
+  std::vector<std::uint32_t> occ_clause_;
+  std::vector<unsigned char> occ_positive_;
+  bool width3_ = false;  ///< every clause has exactly 3 literals
 };
 
 }  // namespace rebooting::memcomputing

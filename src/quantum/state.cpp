@@ -57,7 +57,10 @@ inline void scale(double* amp, double cr, double ci) {
 // contiguous indices that all qualify; the runs' starts are the subsets of
 // the free bits above it, stepped through in increasing order by a carry
 // that skips the fixed bits ((y | ~free) + 1) & free, with cmask OR-ed in.
-// Nothing is scanned and thrown away. The coefficients live in locals, so
+// Nothing is scanned and thrown away. Diagonal gates only scale each half
+// and anti-diagonal ones only exchange the halves (times their entries):
+// the dense update's products with an exact zero coefficient add nothing,
+// so each amplitude equals the dense result. The coefficients live in locals, so
 // stores through the amplitude pointer cannot force them to be reloaded.
 void StateVector::apply_strided(const Gate2x2& g, std::uint64_t cmask,
                                 std::size_t target) {
@@ -66,6 +69,11 @@ void StateVector::apply_strided(const Gate2x2& g, std::uint64_t cmask,
   const double g10r = g.m10.real(), g10i = g.m10.imag();
   const double g11r = g.m11.real(), g11i = g.m11.imag();
   const bool diagonal = g.m01 == Complex{} && g.m10 == Complex{};
+  // X, Y (and so CX, CCX) only exchange the halves of each pair, Y times a
+  // phase; X exchanges them as they are.
+  const bool antidiagonal = g.m00 == Complex{} && g.m11 == Complex{};
+  const bool exchange =
+      antidiagonal && g.m01 == Complex{1.0, 0.0} && g.m10 == Complex{1.0, 0.0};
   // Multiplying by exactly 1 leaves a finite amplitude unchanged, so the
   // diagonal path skips that half (Z, S, T, phase: only the |1> half moves).
   const bool scale0 = !diagonal || g.m00 != Complex{1.0, 0.0};
@@ -90,6 +98,22 @@ void StateVector::apply_strided(const Gate2x2& g, std::uint64_t cmask,
         for (std::uint64_t j = 0; j < end; j += 2) scale(p0 + j, g00r, g00i);
       if (scale1)
         for (std::uint64_t j = 0; j < end; j += 2) scale(p1 + j, g11r, g11i);
+      continue;
+    }
+    if (exchange) {
+      for (std::uint64_t j = 0; j < end; ++j) std::swap(p0[j], p1[j]);
+      continue;
+    }
+    if (antidiagonal) {
+      for (std::uint64_t j = 0; j < end; j += 2) {
+        const double a0r = p0[j], a0i = p0[j + 1];
+        p0[j] = p1[j];
+        p0[j + 1] = p1[j + 1];
+        p1[j] = a0r;
+        p1[j + 1] = a0i;
+        scale(p0 + j, g01r, g01i);
+        scale(p1 + j, g10r, g10i);
+      }
       continue;
     }
     for (std::uint64_t j = 0; j < end; j += 2) {
