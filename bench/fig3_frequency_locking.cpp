@@ -4,7 +4,15 @@
 // Prints (a) the free-running tuning curve f(Vgs), (b) coupled-pair series:
 // free-running detuning vs locked/unlocked state, common frequency and phase,
 // for three coupling strengths, and (c) the lock-range summary.
+//
+// Exit-gated: exits 1 when the lock range (the plateau of locked points
+// starting at dVgs = 0) narrows as Rc goes 40k -> 15k -> 5k, when the two
+// frequencies of a plateau point differ by more than 0.5 %, or when the
+// matched pair (dVgs = 0) locks further than 0.1 rad from pi. The verdict
+// goes to stderr, so stdout is the tables alone.
+#include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "core/ensemble.h"
@@ -99,18 +107,45 @@ int main() {
                        return true;
                      });
 
+  std::vector<std::string> failures;
+  core::Real previous_plateau = 0.0;
   for (const core::Real rc : {40e3, 15e3, 5e3}) {
+    const std::string label = "Rc = " + std::to_string(rc / 1e3) + " kOhm";
     core::Table table({"dVgs [V]", "f_osc1 [MHz]", "f_osc2 [MHz]", "locked",
                        "phase [rad]"},
                       3);
     core::Real lock_edge = 0.0;
+    // The gated lock range is the plateau: the run of locked points from
+    // dVgs = 0 outward.
+    bool in_plateau = true;
+    core::Real plateau = 0.0;
     for (const SweepPoint& p : points) {
       if (p.rc != rc) continue;
       table.add_row({p.d, p.result.f0 / 1e6, p.result.f1 / 1e6,
                      std::string(p.result.locked ? "yes" : "no"),
                      p.result.phase});
       if (p.result.locked) lock_edge = p.d;
+
+      if (p.d == 0.0 && !p.result.locked)
+        failures.push_back(label + ": matched pair does not lock");
+      if (p.d == 0.0 && !(std::abs(p.result.phase - core::kPi) <= 0.1))
+        failures.push_back(label + ": matched-pair phase " +
+                           std::to_string(p.result.phase) +
+                           " rad, not pi +- 0.1");
+      in_plateau = in_plateau && p.result.locked;
+      if (!in_plateau) continue;
+      plateau = p.d;
+      const core::Real mean = 0.5 * (p.result.f0 + p.result.f1);
+      if (!(std::abs(p.result.f0 - p.result.f1) <= 0.005 * mean))
+        failures.push_back(label + ", dVgs = " + std::to_string(p.d) +
+                           ": plateau frequencies differ by > 0.5 %");
     }
+    if (plateau < previous_plateau)
+      failures.push_back(label + ": lock range " + std::to_string(plateau) +
+                         " V narrower than at weaker coupling (" +
+                         std::to_string(previous_plateau) + " V)");
+    previous_plateau = plateau;
+
     std::cout << "\nCoupled pair, Rc = " << rc / 1e3
               << " kOhm (series RC, Cc = 1 pF):\n";
     table.print(std::cout);
@@ -119,5 +154,10 @@ int main() {
               << "widening with stronger coupling; matched pair locks "
                  "anti-phase ~pi).\n";
   }
+
+  for (const std::string& f : failures)
+    std::cerr << "E1 gate FAIL: " << f << '\n';
+  if (!failures.empty()) return 1;
+  std::cerr << "E1 gate: PASS\n";
   return 0;
 }
