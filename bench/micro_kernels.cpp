@@ -112,6 +112,59 @@ void BM_OscillatorNetworkStep(benchmark::State& state) {
 }
 BENCHMARK(BM_OscillatorNetworkStep)->Arg(2)->Arg(8)->Arg(16);
 
+// The oscillator integrate loop on the three network shapes it runs: the
+// comparator pair, a color_graph-sized network, and a parallel-RC chain
+// (the LU capacitance path). per_osc_step is seconds per oscillator-step
+// ("20n" = 20 ns), the unit of perfbench's osc.ns_per_osc_step.
+void osc_steps(benchmark::State& state,
+               const oscillator::CoupledOscillatorNetwork& net) {
+  oscillator::SimulationOptions so;
+  so.duration = 20e-6;
+  so.dt = 1e-9;
+  so.sample_stride = 4;
+  core::Workspace ws;
+  for (auto _ : state) {
+    const auto trace = net.simulate(so, ws);
+    benchmark::DoNotOptimize(trace.samples());
+  }
+  const auto osc_steps = static_cast<std::int64_t>(state.iterations()) *
+                         20000 * static_cast<std::int64_t>(net.size());
+  state.SetItemsProcessed(osc_steps);
+  state.counters["per_osc_step"] = benchmark::Counter(
+      static_cast<double>(osc_steps),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_OscPairStep(benchmark::State& state) {
+  oscillator::CoupledOscillatorNetwork net(oscillator::OscillatorParams{}, 2);
+  net.set_gate_voltage(0, 0.95);
+  net.set_gate_voltage(1, 1.05);
+  net.add_coupling({.a = 0, .b = 1, .r = 15e3, .c = 1e-12});
+  osc_steps(state, net);
+}
+BENCHMARK(BM_OscPairStep);
+
+void BM_OscColoring16Step(benchmark::State& state) {
+  oscillator::CoupledOscillatorNetwork net(oscillator::OscillatorParams{}, 16);
+  for (std::size_t i = 0; i < 16; ++i) {
+    net.add_coupling({.a = i, .b = (i + 1) % 16, .r = 15e3, .c = 1e-12});
+    net.add_coupling({.a = i, .b = (i + 5) % 16, .r = 15e3, .c = 1e-12});
+  }
+  for (std::size_t i = 0; i < 4; ++i)
+    net.add_coupling({.a = i + 8, .b = i, .r = 15e3, .c = 1e-12});
+  osc_steps(state, net);
+}
+BENCHMARK(BM_OscColoring16Step);
+
+void BM_OscParallelStep(benchmark::State& state) {
+  oscillator::CoupledOscillatorNetwork net(oscillator::OscillatorParams{}, 3);
+  for (std::size_t i = 0; i + 1 < 3; ++i)
+    net.add_coupling({.a = i, .b = i + 1, .r = 400e3, .c = 1e-12,
+                      .topology = oscillator::CouplingTopology::kParallelRC});
+  osc_steps(state, net);
+}
+BENCHMARK(BM_OscParallelStep);
+
 // Overhead of the telemetry instrumentation in its default (disabled) state:
 // one relaxed atomic load + branch per TELEM_SPAN site. This is the number
 // that keeps spans allowed inside per-gate device code — compare against

@@ -81,10 +81,18 @@ LuFactorization::LuFactorization(const Matrix& m)
 }
 
 void LuFactorization::solve_in_place(std::span<Real> b) const {
+  std::vector<Real> x(n_);
+  solve_in_place(b, x);
+}
+
+void LuFactorization::solve_in_place(std::span<Real> b,
+                                     std::span<Real> scratch) const {
   if (b.size() != n_)
     throw std::invalid_argument("LuFactorization::solve: size mismatch");
+  if (scratch.size() < n_)
+    throw std::invalid_argument("LuFactorization::solve: scratch too small");
   // Apply permutation.
-  std::vector<Real> x(n_);
+  const std::span<Real> x = scratch.first(n_);
   for (std::size_t i = 0; i < n_; ++i) x[i] = b[piv_[i]];
   // Forward substitution (unit lower triangle).
   for (std::size_t i = 1; i < n_; ++i)

@@ -56,6 +56,11 @@ class LuFactorization {
   /// Solves A x = b in place: `b` enters as the RHS, leaves as the solution.
   void solve_in_place(std::span<Real> b) const;
 
+  /// As above with caller scratch of at least size() reals (e.g. a
+  /// Workspace block), so a solve inside an integration loop allocates
+  /// nothing. Same arithmetic, same result.
+  void solve_in_place(std::span<Real> b, std::span<Real> scratch) const;
+
   std::vector<Real> solve(std::span<const Real> b) const;
 
   /// A^-1 via n solves against identity columns.

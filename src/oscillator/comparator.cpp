@@ -63,7 +63,8 @@ OscillatorComparator::OscillatorComparator(ComparatorConfig config)
   }
   calibration_.pair_power_watts = power_sum / static_cast<Real>(grid.size());
   if (calibration_.oscillation_hz <= 0.0) {
-    // Fallback: middle grid point (delta closest to zero).
+    // Fallback when the matched pair (delta = 0) showed no measurable
+    // frequency: one cycle per simulated duration.
     calibration_.oscillation_hz = 1.0 / (config_.sim.duration);
   }
 

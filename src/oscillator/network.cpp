@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "core/dynamics.h"
 #include "core/linalg.h"
@@ -15,41 +19,70 @@ namespace {
 // Static-dispatch RHS of the node-charge equations. The state is
 // [node voltages | series-branch capacitor voltages]; the VO2 phases are
 // *not* part of the continuous state — the simulate loop owns them and flips
-// them between steps, so within one step the kernel sees frozen resistances.
+// them between steps, so within one step the kernel sees frozen
+// conductances (`g_dev`, refreshed by the loop when a device flips).
+//
+// The branches come as a flat table in insertion order (`vc` = state index
+// of a series branch's capacitor, kParallel for a parallel branch); the
+// node accumulations run in that order. kAllSeries is the diagonal path:
+// with no bridging capacitor the capacitance matrix is c_node * I, and the
+// node rates are the currents divided by c_node (DESIGN.md §17). Otherwise
+// the rates come from the LU solve of the capacitance matrix.
+constexpr std::size_t kParallel = static_cast<std::size_t>(-1);
+
+template <bool kAllSeries>
 struct NetworkKernel {
   std::size_t n;
+  std::size_t n_branches;
   Real vdd;
-  const OscillatorParams& params;
-  const std::vector<CouplingBranch>& branches;
-  const std::vector<std::size_t>& series_state;
-  const std::vector<Real>& g_tr;
-  const std::vector<Vo2Phase>& phases;
-  const core::LuFactorization& cap_lu;
+  Real c_node;
+  const Real* g_dev;  ///< VO2 conductance per node, 1/R of its phase
+  const Real* g_tr;   ///< transistor conductance per node
+  const std::size_t* br_a;
+  const std::size_t* br_b;
+  const std::size_t* br_vc;
+  const Real* br_r;
+  const Real* br_c;
+  const core::LuFactorization* cap_lu;  ///< unused on the diagonal path
+  std::span<Real> lu_scratch;
 
-  void rhs(Real /*t*/, std::span<const Real> s, std::span<Real> ds) const {
+  void rhs(Real /*t*/, std::span<const Real> state,
+           std::span<Real> rate) const {
+    const Real* __restrict s = state.data();
+    Real* __restrict ds = rate.data();
+    const Real* __restrict gd = g_dev;
+    const Real* __restrict gt = g_tr;
     // Currents into each node: VO2 charging minus MOSFET discharge...
-    for (std::size_t i = 0; i < n; ++i) {
-      const Real g_dev = 1.0 / params.vo2.resistance(phases[i]);
-      ds[i] = (vdd - s[i]) * g_dev - s[i] * g_tr[i];
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      ds[i] = (vdd - s[i]) * gd[i] - s[i] * gt[i];
     // ...plus the coupling branch currents.
-    for (std::size_t b = 0; b < branches.size(); ++b) {
-      const auto& br = branches[b];
-      if (br.topology == CouplingTopology::kSeriesRC) {
-        const std::size_t vc = series_state[b];
-        const Real i_branch = (s[br.a] - s[br.b] - s[vc]) / br.r;
-        ds[br.a] -= i_branch;
-        ds[br.b] += i_branch;
-        ds[vc] = i_branch / br.c;
+    const std::size_t* __restrict ba = br_a;
+    const std::size_t* __restrict bb = br_b;
+    const std::size_t* __restrict bvc = br_vc;
+    const Real* __restrict br = br_r;
+    const Real* __restrict bc = br_c;
+    for (std::size_t k = 0; k < n_branches; ++k) {
+      const std::size_t a = ba[k];
+      const std::size_t b = bb[k];
+      const std::size_t vc = bvc[k];
+      if (kAllSeries || vc != kParallel) {
+        const Real i_branch = (s[a] - s[b] - s[vc]) / br[k];
+        ds[a] -= i_branch;
+        ds[b] += i_branch;
+        ds[vc] = i_branch / bc[k];
       } else {
-        const Real i_r = (s[br.a] - s[br.b]) / br.r;
-        ds[br.a] -= i_r;
-        ds[br.b] += i_r;
+        const Real i_r = (s[a] - s[b]) / br[k];
+        ds[a] -= i_r;
+        ds[b] += i_r;
       }
     }
-    // Capacitance-matrix solve turns node currents into voltage rates; the
-    // series-branch capacitor rates are already final.
-    cap_lu.solve_in_place(ds.subspan(0, n));
+    // Node currents become voltage rates; the series-branch capacitor rates
+    // are already final.
+    if constexpr (kAllSeries) {
+      for (std::size_t i = 0; i < n; ++i) ds[i] /= c_node;
+    } else {
+      cap_lu->solve_in_place(rate.first(n), lu_scratch);
+    }
   }
 };
 
@@ -69,6 +102,20 @@ constexpr std::size_t kCtrSamples = 1;
 constexpr std::size_t kCtrNodes = 2;
 constexpr std::size_t kCtrSeries = 3;
 constexpr std::size_t kCtrTail = 4;
+
+// The sample count of a checkpoint whose aux holds exactly samples * (2 + n)
+// packed values; throws otherwise. The division-first test also rejects a
+// count whose product with (2 + n) would wrap, so no section of aux can be
+// read past its end.
+std::size_t packed_samples(const core::Checkpoint& ckpt, std::size_t n,
+                           const char* who) {
+  const std::uint64_t samples = ckpt.counters[kCtrSamples];
+  if (samples > ckpt.aux.size() / (2 + n) ||
+      samples * (2 + n) != ckpt.aux.size())
+    throw std::invalid_argument(std::string(who) +
+                                ": trace payload size mismatch");
+  return static_cast<std::size_t>(samples);
+}
 
 }  // namespace
 
@@ -167,10 +214,8 @@ Trace CoupledOscillatorNetwork::trace_from_checkpoint(
       ckpt.state.size() != n + ckpt.counters[kCtrSeries])
     throw std::invalid_argument(
         "trace_from_checkpoint: foreign or corrupt checkpoint");
-  const auto samples = static_cast<std::size_t>(ckpt.counters[kCtrSamples]);
-  if (ckpt.aux.size() != samples * (2 + n))
-    throw std::invalid_argument(
-        "trace_from_checkpoint: trace payload size mismatch");
+  const std::size_t samples =
+      packed_samples(ckpt, n, "trace_from_checkpoint");
 
   const std::size_t stride = std::max<std::size_t>(1, opts.sample_stride);
   Trace trace;
@@ -196,17 +241,25 @@ bool CoupledOscillatorNetwork::simulate_slice(core::Checkpoint& ckpt,
   TELEM_TRACE_SCOPE("oscillator.simulate");
 
   const std::size_t n = size();
+  const std::size_t n_branches = branches_.size();
 
-  // Series-RC branches carry one extra state each (their capacitor voltage),
-  // appended after the node voltages.
-  std::vector<std::size_t> series_state;  // state index per branch, or npos
+  // The flat branch table, in insertion order. Series-RC branches carry one
+  // extra state each (their capacitor voltage), appended after the node
+  // voltages; a parallel branch has vc = kParallel.
+  std::vector<std::size_t> br_a(n_branches), br_b(n_branches),
+      br_vc(n_branches);
+  std::vector<Real> br_r(n_branches), br_c(n_branches);
   std::size_t n_series = 0;
-  for (const auto& br : branches_) {
-    if (br.topology == CouplingTopology::kSeriesRC)
-      series_state.push_back(n + n_series++);
-    else
-      series_state.push_back(static_cast<std::size_t>(-1));
+  for (std::size_t k = 0; k < n_branches; ++k) {
+    const CouplingBranch& br = branches_[k];
+    br_a[k] = br.a;
+    br_b[k] = br.b;
+    br_vc[k] = br.topology == CouplingTopology::kSeriesRC ? n + n_series++
+                                                          : kParallel;
+    br_r[k] = br.r;
+    br_c[k] = br.c;
   }
+  const bool all_series = n_series == n_branches;
 
   if (ckpt.tag != kOscTag || ckpt.counters.size() != kCtrTail ||
       ckpt.counters[kCtrNodes] != n ||
@@ -215,14 +268,17 @@ bool CoupledOscillatorNetwork::simulate_slice(core::Checkpoint& ckpt,
       ckpt.state.size() != n + n_series)
     throw std::invalid_argument(
         "simulate_slice: foreign or corrupt checkpoint");
+  const std::size_t old_samples = packed_samples(ckpt, n, "simulate_slice");
   if (ckpt.flags[kFlagFinished]) return true;
 
   // Parallel-RC bridging capacitors couple the dV/dt terms, so we assemble
   // the node capacitance matrix
   //   M_ii = c_node + sum of incident bridging Cc,  M_ij = -Cc(i,j)
   // and solve M * dV/dt = I(V) each evaluation with a one-time LU (per
-  // slice; the factorization depends only on the immutable wiring).
-  const core::LuFactorization cap_lu = [&] {
+  // slice; the factorization depends only on the immutable wiring). With
+  // series branches only, M = c_node * I and the kernel divides instead.
+  std::optional<core::LuFactorization> cap_lu;
+  if (!all_series) {
     TELEM_SPAN("oscillator.coupling_setup");
     core::Matrix cap(n, n);
     for (std::size_t i = 0; i < n; ++i) cap(i, i) = params_.c_node;
@@ -233,20 +289,32 @@ bool CoupledOscillatorNetwork::simulate_slice(core::Checkpoint& ckpt,
       cap(br.a, br.b) -= br.c;
       cap(br.b, br.a) -= br.c;
     }
-    return core::LuFactorization(cap);
-  }();
+    cap_lu.emplace(cap);
+  }
 
-  // State and stepper scratch come from the workspace (Heun needs 3x the
-  // state size); the resumable state is spliced in from the checkpoint.
+  // State, stepper and solve scratch come from the workspace (Heun needs 3x
+  // the state size); the resumable state is spliced in from the checkpoint.
   const auto ws_scope = ws.scope();
   const std::span<Real> y = ws.real(n + n_series);
   const std::span<Real> scratch = ws.real(3 * y.size());
+  const std::span<Real> lu_scratch =
+      all_series ? std::span<Real>{} : ws.real(n);
   std::copy(ckpt.state.begin(), ckpt.state.end(), y.begin());
 
+  // VO2 conductances of the two phases; g_dev[i] holds the one of node i's
+  // current phase and changes only when that device flips.
+  const Real g_ins = 1.0 / params_.vo2.r_insulating;
+  const Real g_met = 1.0 / params_.vo2.r_metallic;
+  const auto g_of = [&](Vo2Phase phase) {
+    return phase == Vo2Phase::kMetallic ? g_met : g_ins;
+  };
   std::vector<Vo2Phase> phases(n);
-  for (std::size_t i = 0; i < n; ++i)
+  std::vector<Real> g_dev(n);
+  for (std::size_t i = 0; i < n; ++i) {
     phases[i] = ckpt.flags[kFlagPhase + i] ? Vo2Phase::kMetallic
                                            : Vo2Phase::kInsulating;
+    g_dev[i] = g_of(phases[i]);
+  }
 
   // Per-oscillator transistor conductances are constant during a run.
   std::vector<Real> g_tr(n);
@@ -255,9 +323,6 @@ bool CoupledOscillatorNetwork::simulate_slice(core::Checkpoint& ckpt,
 
   const Real vdd = params_.vdd;
 
-  const NetworkKernel kernel{n,    vdd,          params_, branches_,
-                             series_state, g_tr, phases,  cap_lu};
-
   const auto total_steps =
       static_cast<std::size_t>(std::ceil(opts.duration / opts.dt));
   const std::size_t stride = std::max<std::size_t>(1, opts.sample_stride);
@@ -265,9 +330,18 @@ bool CoupledOscillatorNetwork::simulate_slice(core::Checkpoint& ckpt,
 
   // New samples append to the packed per-section trace arrays at the end of
   // the slice; collected locally first so the checkpoint stays consistent
-  // if the kernel throws.
+  // if the kernel throws. Reserved for the most this slice can record.
+  const std::size_t last_step =
+      budget.max_steps == 0
+          ? total_steps
+          : std::min(total_steps, start_step + budget.max_steps);
+  const std::size_t max_new =
+      last_step > start_step ? last_step / stride - start_step / stride : 0;
   std::vector<Real> new_time, new_supply;
   std::vector<std::vector<Real>> new_node(n);
+  new_time.reserve(max_new);
+  new_supply.reserve(max_new);
+  for (auto& v : new_node) v.reserve(max_new);
 
   auto record = [&](Real t) {
     new_time.push_back(t);
@@ -285,7 +359,13 @@ bool CoupledOscillatorNetwork::simulate_slice(core::Checkpoint& ckpt,
   std::size_t hysteresis_events = 0;
   std::size_t steps_done = 0;
   bool finished = true;
-  {
+  // One integrate loop, instantiated for the diagonal and the LU kernel.
+  const auto integrate = [&](auto all_series_tag) {
+    const NetworkKernel<decltype(all_series_tag)::value> kernel{
+        n,           n_branches,  vdd,         params_.c_node,
+        g_dev.data(), g_tr.data(), br_a.data(), br_b.data(),
+        br_vc.data(), br_r.data(), br_c.data(), cap_lu ? &*cap_lu : nullptr,
+        lu_scratch};
     TELEM_SPAN("oscillator.integrate");
     TELEM_TRACE_SCOPE("oscillator.integrate");
     const core::detail::SliceClock clock(budget);
@@ -305,13 +385,19 @@ bool CoupledOscillatorNetwork::simulate_slice(core::Checkpoint& ckpt,
       // period, so boundary-flipping is well inside the integration error.
       for (std::size_t i = 0; i < n; ++i) {
         const Vo2Phase next = params_.vo2.next_phase(phases[i], vdd - y[i]);
-        hysteresis_events += next != phases[i];
+        if (next == phases[i]) continue;
+        ++hysteresis_events;
         phases[i] = next;
+        g_dev[i] = g_of(next);
       }
       if (step % stride == 0) record(static_cast<Real>(step) * opts.dt);
       ++steps_done;
     }
-  }
+  };
+  if (all_series)
+    integrate(std::true_type{});
+  else
+    integrate(std::false_type{});
   if (finished) ckpt.step = total_steps;
   ckpt.t = static_cast<Real>(ckpt.step) * opts.dt;
 
@@ -321,7 +407,6 @@ bool CoupledOscillatorNetwork::simulate_slice(core::Checkpoint& ckpt,
   for (std::size_t i = 0; i < n; ++i)
     ckpt.flags[kFlagPhase + i] = phases[i] == Vo2Phase::kMetallic ? 1 : 0;
   ckpt.counters[kCtrHysteresis] += hysteresis_events;
-  const auto old_samples = static_cast<std::size_t>(ckpt.counters[kCtrSamples]);
   const std::size_t add = new_time.size();
   if (add > 0) {
     std::vector<Real> packed;

@@ -46,6 +46,32 @@ TEST(Lu, SolvesKnownSystem) {
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
 
+TEST(Lu, CallerScratchSolveMatchesAllocatingSolve) {
+  Rng rng(29);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(8);
+    Matrix a(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
+      a(i, i) += static_cast<Real>(n);
+    }
+    const LuFactorization lu(a);
+    std::vector<Real> b(n);
+    for (Real& v : b) v = rng.uniform(-5.0, 5.0);
+    std::vector<Real> want = b;
+    lu.solve_in_place(want);
+    // Stale scratch contents must not leak into the solution.
+    std::vector<Real> scratch(n + 3, 1e300);
+    std::vector<Real> got = b;
+    lu.solve_in_place(got, scratch);
+    EXPECT_EQ(got, want);
+  }
+  const LuFactorization lu(Matrix::identity(3));
+  std::vector<Real> b(3, 1.0);
+  std::vector<Real> small(2);
+  EXPECT_THROW(lu.solve_in_place(b, small), std::invalid_argument);
+}
+
 TEST(Lu, RandomRoundTrip) {
   Rng rng(13);
   for (int trial = 0; trial < 10; ++trial) {
