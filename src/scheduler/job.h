@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/accelerator.h"
@@ -176,14 +177,32 @@ class YieldProbe {
 };
 
 /// A payload executed in scheduler time slices. Returning a JobResult
-/// completes the job; returning std::nullopt means "yielded at a checkpoint":
-/// the scheduler re-enqueues the remainder (same submission seq, so it
-/// resumes at the front of its priority class) and calls the payload again
-/// later — possibly on a different worker. The payload object itself carries
-/// the resumable state across calls (e.g. a mutable lambda capturing a
-/// core::Checkpoint), so it must not assume thread affinity.
+/// completes the attempt; returning std::nullopt means "yielded at a
+/// checkpoint": the scheduler re-enqueues the remainder (same submission seq,
+/// so it resumes at the front of its priority class) and calls the payload
+/// again later — possibly on a different worker. The payload object itself
+/// carries the resumable state across calls (e.g. a mutable lambda capturing
+/// a core::Checkpoint), so it must not assume thread affinity; a retry after
+/// a failed attempt calls the same object again, so it resumes from that
+/// state too.
 using PreemptiblePayload = std::function<std::optional<core::JobResult>(
     core::Accelerator&, const YieldProbe&)>;
+
+/// The one payload form a queued job carries. A plain DevicePayload-shaped
+/// callable converts into a slice that never yields, so plain and sliced jobs
+/// run through the same attempt loop.
+struct SlicedPayload : PreemptiblePayload {
+  SlicedPayload() = default;
+  SlicedPayload(PreemptiblePayload sliced)
+      : PreemptiblePayload(std::move(sliced)) {}
+  template <class F>
+    requires std::is_invocable_r_v<core::JobResult, F&, core::Accelerator&>
+  SlicedPayload(F plain)
+      : PreemptiblePayload(
+            [plain = std::move(plain)](core::Accelerator& device,
+                                       const YieldProbe&) mutable
+            -> std::optional<core::JobResult> { return plain(device); }) {}
+};
 
 /// One queue entry: the job, its controls, the completion that reports its
 /// outcome, and the bookkeeping the scheduler needs for ordering (seq) and
@@ -191,26 +210,25 @@ using PreemptiblePayload = std::function<std::optional<core::JobResult>(
 struct QueuedJob {
   std::string name;
   core::AcceleratorKind kind = core::AcceleratorKind::kClassicalCpu;
-  DevicePayload payload;
-  /// Set instead of `payload` for slice-based jobs (submit_preemptible). The
-  /// same object is re-enqueued across yields, so it owns the job's
-  /// checkpoint state between slices.
-  PreemptiblePayload preemptible;
+  /// One object serves every slice, retry and failover hop of the job, so
+  /// it owns a sliced job's checkpoint state between calls.
+  SlicedPayload payload;
+  bool sliced = false;  ///< submitted by submit_preemptible (counts slices)
   JobOptions opts;
   JobCompletion done;
   std::uint64_t seq = 0;  ///< scheduler-global submission order, unique
   Clock::time_point enqueued_at{};
-  // --- resilience bookkeeping carried across a failover hop ---------------
-  std::uint64_t attempts_done = 0;  ///< attempts consumed before this queuing
-  std::vector<std::string> fault_log;
+  // --- resilience bookkeeping, carried across yields and a failover hop ---
+  std::uint64_t attempts_done = 0;  ///< attempts consumed so far
+  core::Real service_seconds = 0.0;  ///< payload time across all attempts
+  std::vector<std::string> fault_log{};
   bool failed_over = false;  ///< already re-homed once; never hops again
-  // --- preemption bookkeeping ---------------------------------------------
   bool resumed = false;  ///< re-enqueued after at least one yielded slice
   // --- memoization bookkeeping --------------------------------------------
   /// Set when this job leads a single-flight group; travels with the job
   /// across failover hops and preemption re-enqueues, and is settled exactly
   /// once, by whichever code path settles the leader.
-  std::shared_ptr<MemoFlight> memo_flight;
+  std::shared_ptr<MemoFlight> memo_flight{};
 };
 
 /// What a full queue does with the next submission.

@@ -54,8 +54,7 @@ std::optional<QueuedJob> BoundedJobQueue::pop() {
   not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
   if (closed_) return std::nullopt;  // leftovers are for flush()
   auto node = items_.extract(items_.begin());
-  ++in_flight_;  // under the same lock as the removal, so wait_idle never
-                 // observes "empty and idle" between pop and execution
+  ++in_flight_;
   not_full_.notify_one();
   return std::move(node.value());
 }
@@ -109,13 +108,7 @@ void BoundedJobQueue::task_done() {
   std::lock_guard lock(mutex_);
   if (in_flight_ == 0)
     throw std::logic_error("BoundedJobQueue::task_done without matching pop");
-  if (--in_flight_ == 0 && items_.empty()) idle_.notify_all();
-}
-
-void BoundedJobQueue::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_.wait(lock,
-             [&] { return (items_.empty() && in_flight_ == 0) || closed_; });
+  --in_flight_;
 }
 
 void BoundedJobQueue::close() {
@@ -123,7 +116,6 @@ void BoundedJobQueue::close() {
   closed_ = true;
   not_empty_.notify_all();
   not_full_.notify_all();
-  idle_.notify_all();
 }
 
 std::vector<QueuedJob> BoundedJobQueue::flush() {

@@ -4,9 +4,9 @@
 // Ordering: strict priority (higher first), FIFO by submission sequence
 // within a priority class. Capacity is enforced by one of three backpressure
 // policies (job.h): block the producer, reject the newcomer, or shed the
-// longest-waiting entry. The queue also tracks popped-but-unfinished work
-// (task_done / wait_idle, in the spirit of Python's queue.join) so drain()
-// can wait for true quiescence rather than just an empty queue.
+// longest-waiting entry. The queue also counts popped-but-unfinished work
+// (pop / task_done), which PoolStats::in_flight reports; drain() does not
+// use it — the scheduler counts accepted-but-uncompleted jobs instead.
 #pragma once
 
 #include <condition_variable>
@@ -54,7 +54,7 @@ class BoundedJobQueue {
   /// or nullopt when there is none (or the queue is closed). Like pop(), a
   /// successful steal marks one task in flight *on this queue*: the thief
   /// must call this queue's task_done() when the stolen job finishes, which
-  /// keeps wait_idle()/drain accounting exact across pools.
+  /// keeps in_flight() exact across pools.
   std::optional<QueuedJob> try_steal();
 
   /// True when a queued entry outranks `priority` — the preemption signal a
@@ -64,17 +64,12 @@ class BoundedJobQueue {
   /// True once close() has been called.
   bool closed() const;
 
-  /// Marks one popped task finished (see pop / wait_idle).
+  /// Marks one popped task finished (see pop).
   void task_done();
 
-  /// Blocks until the queue is empty AND every popped task has been
-  /// task_done()'d — i.e. the pool is quiescent. Returns immediately once
-  /// closed.
-  void wait_idle();
-
-  /// Closes the queue: blocked and future push() calls return kClosed,
+  /// Closes the queue: blocked and future push() calls return kClosed, and
   /// pop() returns nullopt even while entries remain queued (they are
-  /// retrieved with flush()), and wait_idle() unblocks.
+  /// retrieved with flush()).
   void close();
 
   /// Removes and returns every still-queued entry in pop (priority) order.
@@ -101,7 +96,6 @@ class BoundedJobQueue {
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::condition_variable idle_;
   std::set<QueuedJob, Order> items_;
   std::size_t capacity_;
   BackpressurePolicy policy_;

@@ -1,5 +1,6 @@
 #include "scheduler/scheduler.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -32,9 +33,10 @@ JobCompletion promise_completion(std::future<core::JobResult>* future) {
   };
 }
 
-/// The submitter's own pre-execution gates, applied to a job settled without
-/// running on its behalf (memo hit, single-flight rider): a cancelled or
-/// expired submit must not look like it ran. Nullopt = deliver as is.
+/// The submitter's own pre-execution gates: checked when a worker pops the
+/// job, and when a job is settled without running on its behalf (memo hit,
+/// single-flight rider) — a cancelled or expired submit must not look like
+/// it ran. Nullopt = run, or deliver, as is.
 std::optional<core::JobResult> gate_unrun(const std::string& name,
                                           const JobOptions& opts) {
   core::JobResult result;
@@ -100,8 +102,9 @@ void Scheduler::add_pool(core::AcceleratorKind kind, std::size_t workers,
       throw std::invalid_argument(
           "sched: factory built a '" + core::to_string(replica->kind()) +
           "' accelerator for the '" + core::to_string(kind) + "' pool");
+    pool->workers.push_back(
+        std::make_unique<Worker>(*replica, config_.breaker));
     pool->replicas.push_back(std::move(replica));
-    pool->workers.push_back(std::make_unique<Worker>(config_.breaker));
   }
 
   // The map insert and the thread starts stay under one lock so shutdown()
@@ -119,8 +122,7 @@ void Scheduler::add_pool(core::AcceleratorKind kind, std::size_t workers,
   Pool& p = *it->second;
   for (std::size_t i = 0; i < workers; ++i)
     p.threads.emplace_back(&Scheduler::worker_loop, this, std::ref(p),
-                           std::ref(*p.replicas[i]), std::ref(*p.workers[i]),
-                           i);
+                           std::ref(*p.workers[i]), i);
 }
 
 Scheduler::Pool* Scheduler::find_pool(core::AcceleratorKind kind) const {
@@ -137,11 +139,10 @@ std::future<core::JobResult> Scheduler::submit(core::Job job,
   if (!job.payload)
     throw std::invalid_argument("sched: job '" + job.name +
                                 "' has no payload");
-  DevicePayload payload = [p = std::move(job.payload)](core::Accelerator&) {
-    return p();
-  };
-  return submit(std::move(job.name), job.kind, std::move(payload),
-                std::move(opts));
+  return submit(
+      std::move(job.name), job.kind,
+      [p = std::move(job.payload)](core::Accelerator&) { return p(); },
+      std::move(opts));
 }
 
 std::future<core::JobResult> Scheduler::submit(std::string name,
@@ -159,23 +160,11 @@ void Scheduler::submit(std::string name, core::AcceleratorKind kind,
                        JobCompletion done) {
   if (!payload)
     throw std::invalid_argument("sched: job '" + name + "' has no payload");
-  if (!done)
-    throw std::invalid_argument("sched: job '" + name + "' has no completion");
-  if (!accepting())
-    throw std::runtime_error("sched: submit('" + name + "') after shutdown");
-  Pool* pool = find_pool(kind);
-
-  std::shared_ptr<MemoFlight> flight;
-  if (join_flight(name, opts, done, &flight)) return;
-
-  QueuedJob item;
-  item.name = std::move(name);
-  item.kind = kind;
-  item.payload = std::move(payload);
-  item.opts = std::move(opts);
-  item.done = std::move(done);
-  item.memo_flight = std::move(flight);
-  enqueue(std::move(item), pool);
+  admit({.name = std::move(name),
+         .kind = kind,
+         .payload = std::move(payload),  // a slice that never yields
+         .opts = std::move(opts),
+         .done = std::move(done)});
 }
 
 bool Scheduler::join_flight(const std::string& name, const JobOptions& opts,
@@ -227,11 +216,7 @@ bool Scheduler::join_flight(const std::string& name, const JobOptions& opts,
   return false;
 }
 
-void Scheduler::settle(QueuedJob& item, core::JobResult&& result,
-                       std::exception_ptr thrown) {
-  JobOutcome outcome;
-  outcome.result = std::move(result);
-  outcome.thrown = std::move(thrown);
+void Scheduler::settle(QueuedJob& item, JobOutcome&& outcome) {
   if (item.memo_flight) {
     settle_flight(item.memo_flight, outcome);
     item.memo_flight.reset();
@@ -281,53 +266,64 @@ std::future<core::JobResult> Scheduler::submit_preemptible(
     JobOptions opts) {
   if (!payload)
     throw std::invalid_argument("sched: job '" + name + "' has no payload");
-  if (!accepting())
-    throw std::runtime_error("sched: submit('" + name + "') after shutdown");
-  Pool* pool = find_pool(kind);
-
-  QueuedJob item;
-  item.name = std::move(name);
-  item.kind = kind;
-  item.preemptible = std::move(payload);
-  item.opts = std::move(opts);
   std::future<core::JobResult> future;
-  item.done = promise_completion(&future);
-  enqueue(std::move(item), pool);
+  admit({.name = std::move(name),
+         .kind = kind,
+         .payload = std::move(payload),
+         .sliced = true,
+         .opts = std::move(opts),
+         .done = promise_completion(&future)});
   return future;
 }
 
-void Scheduler::enqueue(QueuedJob item, Pool* pool) {
-  item.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  item.enqueued_at = Clock::now();
-  track_accept();
+void Scheduler::admit(QueuedJob item) {
+  if (!item.done)
+    throw std::invalid_argument("sched: job '" + item.name +
+                                "' has no completion");
+  if (!accepting())
+    throw std::runtime_error("sched: submit('" + item.name +
+                             "') after shutdown");
+  Pool* pool = find_pool(item.kind);
+  // A sliced job is a progress stream, not a pure function: never memoized.
+  if (!item.sliced &&
+      join_flight(item.name, item.opts, item.done, &item.memo_flight))
+    return;
 
+  item.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  track_accept();
   // The submit slice brackets the (possibly blocking) push, and the flow
   // arrow it contains starts the per-job submit -> dequeue -> complete chain.
   const std::uint64_t seq = item.seq;
   telemetry::TraceScope submit_scope(
       telemetry::trace_enabled() ? "sched.submit" : nullptr, "sched", seq);
+  if (push(*pool, item, /*yielded=*/false)) TELEM_TRACE_FLOW_BEGIN("job", seq);
+}
 
-  // push() may block (kBlock policy) — never under pools_mutex_.
+bool Scheduler::push(Pool& to, QueuedJob& item, bool yielded) {
+  item.enqueued_at = Clock::now();
+  // push() may block (kBlock policy) — never under pools_mutex_. A yielded
+  // remainder already held a slot, so it is never blocked, shed or rejected.
   std::optional<QueuedJob> shed;
-  const auto status = pool->queue.push(item, &shed);
+  const auto status =
+      yielded ? to.queue.push_resumed(item) : to.queue.push(item, &shed);
   if (shed)
     complete_unrun(std::move(*shed), "shed by backpressure (queue full)",
                    "sched.shed", core::JobDisposition::kShed);
   switch (status) {
     case BoundedJobQueue::PushStatus::kAccepted:
-      TELEM_TRACE_FLOW_BEGIN("job", seq);
-      telemetry::gauge(pool->depth_gauge,
-                       static_cast<core::Real>(pool->queue.size()));
-      break;
+      telemetry::gauge(to.depth_gauge,
+                       static_cast<core::Real>(to.queue.size()));
+      return true;
     case BoundedJobQueue::PushStatus::kRejected:
       complete_unrun(std::move(item), "rejected by backpressure (queue full)",
                      "sched.rejected", core::JobDisposition::kRejected);
-      break;
+      return false;
     case BoundedJobQueue::PushStatus::kClosed:
       complete_unrun(std::move(item), "not accepted: scheduler shut down",
                      "sched.flushed", core::JobDisposition::kFlushed);
-      break;
+      return false;
   }
+  return false;
 }
 
 std::vector<std::future<core::JobResult>> Scheduler::submit_batch(
@@ -338,18 +334,14 @@ std::vector<std::future<core::JobResult>> Scheduler::submit_batch(
   return futures;
 }
 
-void Scheduler::worker_loop(Pool& pool, core::Accelerator& replica,
-                            Worker& state, std::size_t replica_index) {
+void Scheduler::worker_loop(Pool& pool, Worker& worker,
+                            std::size_t replica_index) {
   // Tags every slice this worker ever emits with its kind + replica: the
   // exported timeline shows one named track per replica per pool.
   telemetry::TraceRecorder::instance().set_thread_name(
       core::to_string(pool.kind) + " worker " + std::to_string(replica_index));
-  // The fault injector, when this replica carries one. Payloads receive the
-  // *inner* accelerator so typed downcasts still work.
-  auto* faulty = dynamic_cast<core::FaultyAccelerator*>(&replica);
-  core::Accelerator& target = faulty ? faulty->inner() : replica;
   for (;;) {
-    BoundedJobQueue* source = &pool.queue;
+    Pool* source = &pool;
     std::optional<QueuedJob> popped;
     if (config_.work_stealing) {
       // Poll the home queue briefly, then go looking for an overloaded
@@ -367,13 +359,12 @@ void Scheduler::worker_loop(Pool& pool, core::Accelerator& replica,
       popped = pool.queue.pop();
       if (!popped) break;
     }
-    execute(pool, *source, replica, target, faulty, state,
-            std::move(*popped));
+    execute(pool, *source, worker, std::move(*popped));
   }
 }
 
 std::optional<QueuedJob> Scheduler::steal_from_other_pool(
-    const Pool& thief, BoundedJobQueue*& source) {
+    const Pool& thief, Pool*& source) {
   std::unique_lock lock(pools_mutex_);
   Pool* victim = nullptr;
   std::size_t deepest = 0;
@@ -390,380 +381,261 @@ std::optional<QueuedJob> Scheduler::steal_from_other_pool(
   // steal; release the map lock before touching its queue lock.
   lock.unlock();
   auto stolen = victim->queue.try_steal();
-  if (stolen) source = &victim->queue;
+  if (stolen) source = victim;
   return stolen;
 }
 
-void Scheduler::execute(Pool& pool, BoundedJobQueue& source,
-                        core::Accelerator& replica, core::Accelerator& target,
-                        core::FaultyAccelerator* faulty, Worker& state,
+void Scheduler::execute(Pool& pool, Pool& source, Worker& worker,
                         QueuedJob item) {
-    const auto dequeued = Clock::now();
-    const core::Real wait = seconds_between(item.enqueued_at, dequeued);
-    telemetry::record("sched.wait_seconds", wait);
-    telemetry::gauge(pool.depth_gauge,
-                     static_cast<core::Real>(pool.queue.size()));
+  telemetry::record("sched.wait_seconds",
+                    seconds_between(item.enqueued_at, Clock::now()));
+  telemetry::gauge(pool.depth_gauge,
+                   static_cast<core::Real>(pool.queue.size()));
 
-    // One slice per job, named after the job, covering everything that
-    // happens to it on this worker (execution or the cancel/deadline
-    // verdict). The flow step hooks the arrow from the submit slice here.
-    telemetry::TraceScope job_scope(
-        telemetry::trace_enabled()
-            ? telemetry::TraceRecorder::instance().intern(item.name)
-            : nullptr,
-        "sched", item.seq);
-    TELEM_TRACE_FLOW_STEP("job", item.seq);
+  // One slice per job, named after the job, covering everything that
+  // happens to it on this worker (execution or the cancel/deadline
+  // verdict). The flow step hooks the arrow from the submit slice here.
+  telemetry::TraceScope job_scope(
+      telemetry::trace_enabled()
+          ? telemetry::TraceRecorder::instance().intern(item.name)
+          : nullptr,
+      "sched", item.seq);
+  TELEM_TRACE_FLOW_STEP("job", item.seq);
 
-    core::JobResult result;
-    Verdict verdict = Verdict::kCompleted;
-    if (item.opts.cancel && item.opts.cancel->cancelled()) {
-      result.disposition = core::JobDisposition::kCancelled;
-      result.summary = "sched: job '" + item.name +
-                       "' cancelled before execution";
-      result.attempts = item.attempts_done;
-      result.fault_log = std::move(item.fault_log);
-      telemetry::count("sched.cancelled");
-      TELEM_TRACE_INSTANT("sched.cancelled");
-    } else if (item.opts.deadline && dequeued >= *item.opts.deadline) {
-      result.disposition = core::JobDisposition::kDeadlineMissed;
-      result.summary = "sched: job '" + item.name +
-                       "' missed its deadline after waiting " +
-                       std::to_string(wait) + " s";
-      result.attempts = item.attempts_done;
-      result.fault_log = std::move(item.fault_log);
-      telemetry::count("sched.deadline_missed");
-      TELEM_TRACE_INSTANT("sched.deadline_expired");
-    } else if (item.preemptible) {
-      verdict = run_slice(pool, source, replica, target, item, result);
-    } else {
-      verdict = run_attempts(pool, replica, target, faulty, state, item,
-                             result);
-    }
-    if (verdict != Verdict::kFailedOver && verdict != Verdict::kYielded)
+  // The gate: work whose answer nobody wants never occupies the device.
+  JobOutcome outcome;
+  Verdict verdict = Verdict::kSettled;
+  if (auto unrun = gate_unrun(item.name, item.opts)) {
+    outcome.result = std::move(*unrun);
+    outcome.result.attempts = item.attempts_done;
+    outcome.result.fault_log = std::move(item.fault_log);
+  } else {
+    verdict = run_attempts(pool, source, worker, item, outcome);
+  }
+
+  switch (verdict) {
+    case Verdict::kSettled: {
       TELEM_TRACE_FLOW_END("job", item.seq);
-    if (verdict == Verdict::kCompleted) {
+      // The job accounting: once per job that reached the device, however
+      // many attempts or slices that took.
+      const core::JobResult& r = outcome.result;
+      if (telemetry::Telemetry::enabled() &&
+          r.disposition == core::JobDisposition::kExecuted) {
+        auto& metrics = telemetry::Telemetry::instance().metrics();
+        metrics.add("sched.jobs");
+        metrics.add(pool.jobs_counter);
+        if (!outcome.thrown && !r.ok) metrics.add("sched.jobs_failed");
+        if (r.degraded) metrics.add("sched.degraded");
+        for (const auto& [key, value] : r.metrics) metrics.add(key, value);
+      }
       telemetry::record("sched.latency_seconds",
                         seconds_between(item.enqueued_at, Clock::now()));
-      settle(item, std::move(result));
+      settle(item, std::move(outcome));
+      break;
     }
-    // kThrew already settled the job (exception) inside run_slice /
-    // run_attempts; kFailedOver and kYielded re-queued the job elsewhere.
-    source.task_done();
+    case Verdict::kYielded:
+      // The remainder re-enters the queue it came from with its original
+      // seq — the front of its priority class — and this worker turns to
+      // the higher-priority work that triggered the preemption.
+      preempts_.fetch_add(1, std::memory_order_relaxed);
+      telemetry::count("sched.preempt");
+      TELEM_TRACE_INSTANT("sched.preempt");
+      TELEM_TRACE_FLOW_STEP("job", item.seq);
+      item.resumed = true;
+      push(source, item, /*yielded=*/true);
+      break;
+    case Verdict::kFailedOver:
+      // The re-submit hop in the job's flow chain: submit -> dequeue ->
+      // failover -> dequeue (cpu) -> complete.
+      telemetry::count("sched.failover");
+      TELEM_TRACE_INSTANT("sched.failover");
+      TELEM_TRACE_FLOW_STEP("job", item.seq);
+      item.kind = core::AcceleratorKind::kClassicalCpu;
+      item.failed_over = true;
+      push(*find_pool(item.kind), item, /*yielded=*/false);
+      break;
+  }
+  source.queue.task_done();
 }
 
-Scheduler::Verdict Scheduler::run_slice(Pool& pool, BoundedJobQueue& source,
-                                        core::Accelerator& replica,
-                                        core::Accelerator& target,
-                                        QueuedJob& item,
-                                        core::JobResult& out) {
-  // Preemptible jobs bypass the retry/fault/breaker machinery on purpose:
-  // their unit of resilience is the checkpoint carried inside the payload,
-  // and the chaos suite exercises crash-resume rather than in-line retries.
+Scheduler::Verdict Scheduler::run_attempts(Pool& pool, Pool& source,
+                                           Worker& worker, QueuedJob& item,
+                                           JobOutcome& out) {
   if (item.resumed) {
     resumes_.fetch_add(1, std::memory_order_relaxed);
     telemetry::count("sched.resume");
     TELEM_TRACE_INSTANT("sched.resume");
   }
-  // The probe a cooperative payload polls at its checkpoint boundaries:
-  // "is anything outranking me queued where I came from?"
+  // The probe a sliced payload polls at its checkpoint boundaries: "is
+  // anything outranking me queued where I came from?"
+  const BoundedJobQueue& queue = source.queue;
   const int priority = item.opts.priority;
-  const YieldProbe probe([&source, priority] {
-    return source.has_higher_priority_queued(priority);
+  const YieldProbe probe([&queue, priority] {
+    return queue.has_higher_priority_queued(priority);
   });
 
-  const auto start = Clock::now();
-  std::optional<core::JobResult> res;
-  try {
-    TELEM_SPAN(pool.span_name);
-    res = item.preemptible(target, probe);
-  } catch (...) {
-    telemetry::count("sched.payload_exceptions");
-    if (telemetry::Telemetry::enabled()) {
-      auto& metrics = telemetry::Telemetry::instance().metrics();
-      metrics.add("sched.jobs");
-      metrics.add(pool.jobs_counter);
-    }
-    settle(item, {}, std::current_exception());
-    return Verdict::kThrew;
-  }
-  const core::Real service = seconds_between(start, Clock::now());
-  replica.record_completion(service);
-  slices_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Telemetry::enabled()) {
-    auto& metrics = telemetry::Telemetry::instance().metrics();
-    metrics.add("sched.slices");
-    metrics.add(pool.busy_counter, service);
-    metrics.record("sched.service_seconds", service);
-  }
-
-  if (!res) {
-    // Yielded at a checkpoint: the remainder re-enters the queue with its
-    // original seq — the front of its priority class — and the worker turns
-    // to the higher-priority work that triggered the preemption.
-    preempts_.fetch_add(1, std::memory_order_relaxed);
-    telemetry::count("sched.preempt");
-    TELEM_TRACE_INSTANT("sched.preempt");
-    TELEM_TRACE_FLOW_STEP("job", item.seq);
-    item.resumed = true;
-    item.enqueued_at = Clock::now();
-    if (source.push_resumed(item) != BoundedJobQueue::PushStatus::kAccepted) {
-      // Shutdown closed the queue mid-slice; the remainder will never run.
-      complete_unrun(std::move(item), "flushed at shutdown mid-slice",
-                     "sched.flushed", core::JobDisposition::kFlushed);
-    } else {
-      telemetry::gauge(pool.depth_gauge,
-                       static_cast<core::Real>(source.size()));
-    }
-    return Verdict::kYielded;
-  }
-
-  out = std::move(*res);
-  out.attempts = 1;
-  if (telemetry::Telemetry::enabled()) {
-    auto& metrics = telemetry::Telemetry::instance().metrics();
-    metrics.add("sched.jobs");
-    metrics.add(pool.jobs_counter);
-    if (!out.ok) metrics.add("sched.jobs_failed");
-    for (const auto& [key, value] : out.metrics) metrics.add(key, value);
-  }
-  return Verdict::kCompleted;
-}
-
-Scheduler::Verdict Scheduler::run_attempts(Pool& pool,
-                                           core::Accelerator& replica,
-                                           core::Accelerator& target,
-                                           core::FaultyAccelerator* faulty,
-                                           Worker& state, QueuedJob& item,
-                                           core::JobResult& out) {
   const RetryPolicy& retry = item.opts.retry;
-  std::size_t max_attempts = retry.max_attempts == 0 ? 1 : retry.max_attempts;
+  std::size_t max_attempts = std::max<std::size_t>(retry.max_attempts, 1);
   // A job failed over with its budget already spent still deserves the one
   // attempt the hop promised it.
   if (item.failed_over && item.attempts_done >= max_attempts)
     max_attempts = item.attempts_done + 1;
-
-  std::uint64_t attempts = item.attempts_done;
-  std::vector<std::string> fault_log = std::move(item.fault_log);
-  core::Real total_service = 0.0;
   Clock::duration backoff_spent{0};
   // The most recent ok=false result the payload itself produced. When the
   // job gives up, this is returned verbatim (annotated with the attempt
   // bookkeeping) so a single-attempt job behaves exactly as it did before
   // the resilience layer existed.
-  core::JobResult last_result;
-  bool have_last = false;
+  std::optional<core::JobResult> last_failed;
 
-  const auto fail_with = [&](std::string why) {
-    if (have_last) {
-      out = std::move(last_result);
-    } else {
-      out.ok = false;
-      out.summary = "sched: job '" + item.name + "' " + std::move(why);
-    }
-    out.attempts = attempts;
-    out.wall_seconds = total_service;
-    out.fault_log = std::move(fault_log);
-    if (telemetry::Telemetry::enabled()) {
-      auto& metrics = telemetry::Telemetry::instance().metrics();
-      metrics.add("sched.jobs");
-      metrics.add(pool.jobs_counter);
-      metrics.add("sched.jobs_failed");
-      for (const auto& [key, value] : out.metrics) metrics.add(key, value);
-    }
+  const auto finish = [&](core::JobResult&& result) {
+    out.result = std::move(result);
+    out.result.attempts = item.attempts_done;
+    out.result.wall_seconds = item.service_seconds;
+    out.result.fault_log = std::move(item.fault_log);
+    return Verdict::kSettled;
+  };
+  const auto fail_with = [&](const std::string& why) {
+    if (last_failed) return finish(std::move(*last_failed));
+    core::JobResult failed;
+    failed.summary = "sched: job '" + item.name + "' failed after " +
+                     std::to_string(item.attempts_done) + " attempt(s)" + why;
+    return finish(std::move(failed));
+  };
+  const auto note_fault = [&](const core::FaultOutcome& fault) {
+    item.fault_log.push_back(attempt_prefix(item.attempts_done) +
+                             fault.description);
+    telemetry::count("sched.faults_injected");
+    TELEM_TRACE_INSTANT("sched.fault_injected");
   };
 
   for (;;) {
-    // Health gate: an open breaker refuses the attempt on this replica.
-    if (!state.breaker.allow()) {
-      if (failover_eligible(retry, item, pool)) {
-        fault_log.push_back("breaker open on " + core::to_string(pool.kind) +
-                            " replica; failing over");
-        return failover(std::move(item), attempts, std::move(fault_log));
+    if (!worker.breaker.allow()) {
+      // Health gate: an open breaker refuses the attempt on this replica.
+      if (failover_eligible(item, pool)) {
+        item.fault_log.push_back("breaker open on " +
+                                 core::to_string(pool.kind) +
+                                 " replica; failing over");
+        return Verdict::kFailedOver;
       }
-      ++attempts;
-      fault_log.push_back(attempt_prefix(attempts) +
-                          "circuit breaker open, execution refused");
+      ++item.attempts_done;
+      item.fault_log.push_back(attempt_prefix(item.attempts_done) +
+                               "circuit breaker open, execution refused");
     } else {
-      ++attempts;
+      ++item.attempts_done;
       telemetry::count("sched.attempts");
-      bool failed = false;
-      bool threw = false;
-      std::exception_ptr thrown;
       core::FaultOutcome fault;
-      if (faulty) fault = faulty->on_attempt(item.seq, attempts);
+      if (worker.faulty)
+        fault = worker.faulty->on_attempt(item.seq, item.attempts_done);
+      std::exception_ptr thrown;
       if (fault.kind == core::FaultKind::kTransient ||
           fault.kind == core::FaultKind::kPermanent) {
         // The device "failed" before doing any work: the payload never runs.
-        failed = true;
-        fault_log.push_back(attempt_prefix(attempts) + fault.description);
-        telemetry::count("sched.faults_injected");
-        TELEM_TRACE_INSTANT("sched.fault_injected");
+        note_fault(fault);
       } else {
         if (fault.kind == core::FaultKind::kLatencySpike) {
-          fault_log.push_back(attempt_prefix(attempts) + fault.description);
-          telemetry::count("sched.faults_injected");
-          TELEM_TRACE_INSTANT("sched.fault_injected");
+          note_fault(fault);
           std::this_thread::sleep_for(
               std::chrono::duration<core::Real>(fault.latency_seconds));
         }
         const auto start = Clock::now();
-        core::JobResult attempt_result;
+        std::optional<core::JobResult> slice;
         try {
           TELEM_SPAN(pool.span_name);
-          attempt_result = item.payload(target);
+          slice = item.payload(worker.target, probe);
         } catch (...) {
-          threw = true;
           thrown = std::current_exception();
           telemetry::count("sched.payload_exceptions");
         }
         const core::Real service = seconds_between(start, Clock::now());
-        total_service += service;
-        replica.record_completion(service);
-        if (telemetry::Telemetry::enabled()) {
-          auto& metrics = telemetry::Telemetry::instance().metrics();
-          metrics.add(pool.busy_counter, service);
-          metrics.record("sched.service_seconds", service);
+        item.service_seconds += service;
+        worker.replica.record_completion(service);
+        telemetry::count(pool.busy_counter, service);
+        telemetry::record("sched.service_seconds", service);
+        if (item.sliced) {
+          slices_.fetch_add(1, std::memory_order_relaxed);
+          telemetry::count("sched.slices");
         }
-        if (threw) {
-          failed = true;
-          fault_log.push_back(attempt_prefix(attempts) + "payload threw");
+        if (thrown) {
+          item.fault_log.push_back(attempt_prefix(item.attempts_done) +
+                                   "payload threw");
+        } else if (!slice) {
+          // Yielded at a checkpoint: a healthy device, and no attempt spent.
+          worker.breaker.record_success();
+          --item.attempts_done;
+          return Verdict::kYielded;
         } else if (fault.kind == core::FaultKind::kCorruption) {
-          failed = true;
-          fault_log.push_back(attempt_prefix(attempts) + fault.description);
-          telemetry::count("sched.faults_injected");
-          TELEM_TRACE_INSTANT("sched.fault_injected");
-        } else if (!attempt_result.ok) {
-          failed = true;
-          fault_log.push_back(attempt_prefix(attempts) + "payload failed: " +
-                              attempt_result.summary);
-          last_result = std::move(attempt_result);
-          have_last = true;
+          note_fault(fault);
+        } else if (!slice->ok) {
+          item.fault_log.push_back(attempt_prefix(item.attempts_done) +
+                                   "payload failed: " + slice->summary);
+          last_failed = std::move(slice);
         } else {
-          // Success.
-          state.breaker.record_success();
-          out = std::move(attempt_result);
-          out.attempts = attempts;
-          out.wall_seconds = total_service;
-          out.degraded = attempts > 1 || item.failed_over;
-          out.fault_log = std::move(fault_log);
-          if (telemetry::Telemetry::enabled()) {
-            auto& metrics = telemetry::Telemetry::instance().metrics();
-            metrics.add("sched.jobs");
-            metrics.add(pool.jobs_counter);
-            if (out.degraded) metrics.add("sched.degraded");
-            for (const auto& [key, value] : out.metrics)
-              metrics.add(key, value);
-          }
-          return Verdict::kCompleted;
+          worker.breaker.record_success();
+          finish(std::move(*slice));
+          out.result.degraded = item.attempts_done > 1 || item.failed_over;
+          return Verdict::kSettled;
         }
       }
-      if (failed && state.breaker.record_failure()) {
+      if (worker.breaker.record_failure()) {
         telemetry::count("sched.breaker_open");
         TELEM_TRACE_INSTANT("sched.breaker_open");
       }
-      if (threw && attempts >= max_attempts &&
-          !failover_eligible(retry, item, pool)) {
+      if (thrown && item.attempts_done >= max_attempts &&
+          !failover_eligible(item, pool)) {
         // Final attempt threw: propagate the exception, as a single-attempt
         // job always did. It still counts as an executed job.
-        if (telemetry::Telemetry::enabled()) {
-          auto& metrics = telemetry::Telemetry::instance().metrics();
-          metrics.add("sched.jobs");
-          metrics.add(pool.jobs_counter);
-        }
-        settle(item, {}, std::move(thrown));
-        return Verdict::kThrew;
+        out.thrown = std::move(thrown);
+        return Verdict::kSettled;
       }
     }
 
-    if (attempts >= max_attempts) {
-      if (failover_eligible(retry, item, pool)) {
-        fault_log.push_back("attempts exhausted on " +
-                            core::to_string(pool.kind) +
-                            "; failing over to classical-cpu");
-        return failover(std::move(item), attempts, std::move(fault_log));
+    if (item.attempts_done >= max_attempts) {
+      if (failover_eligible(item, pool)) {
+        item.fault_log.push_back("attempts exhausted on " +
+                                 core::to_string(pool.kind) +
+                                 "; failing over to classical-cpu");
+        return Verdict::kFailedOver;
       }
-      fail_with("failed after " + std::to_string(attempts) + " attempt(s)");
-      return Verdict::kCompleted;
+      return fail_with("");
     }
 
     // Backoff before the next attempt, honoring deadline and retry budget.
-    const auto delay = backoff_delay(retry, attempts, item.seq);
+    const auto delay = backoff_delay(retry, item.attempts_done, item.seq);
     if (backoff_spent + delay > retry.retry_budget) {
-      fault_log.push_back("retry budget exhausted after " +
-                          std::to_string(attempts) + " attempt(s)");
-      fail_with("failed after " + std::to_string(attempts) +
-                " attempt(s); retry budget exhausted");
-      return Verdict::kCompleted;
+      item.fault_log.push_back("retry budget exhausted after " +
+                               std::to_string(item.attempts_done) +
+                               " attempt(s)");
+      return fail_with("; retry budget exhausted");
     }
     if (item.opts.deadline && Clock::now() + delay >= *item.opts.deadline) {
       telemetry::count("sched.deadline_missed");
       TELEM_TRACE_INSTANT("sched.deadline_expired");
-      fault_log.push_back("backoff would cross the deadline; giving up after " +
-                          std::to_string(attempts) + " attempt(s)");
-      fail_with("failed after " + std::to_string(attempts) +
-                " attempt(s); backoff would cross the deadline");
-      return Verdict::kCompleted;
+      item.fault_log.push_back(
+          "backoff would cross the deadline; giving up after " +
+          std::to_string(item.attempts_done) + " attempt(s)");
+      return fail_with("; backoff would cross the deadline");
     }
     telemetry::count("sched.retries");
     TELEM_TRACE_INSTANT("sched.retry");
     std::this_thread::sleep_for(delay);
     backoff_spent += delay;
     if (item.opts.cancel && item.opts.cancel->cancelled()) {
-      out.disposition = core::JobDisposition::kCancelled;
-      out.attempts = attempts;
-      out.fault_log = std::move(fault_log);
-      out.wall_seconds = total_service;
-      out.summary = "sched: job '" + item.name +
-                    "' cancelled between retry attempts";
+      core::JobResult cancelled;
+      cancelled.disposition = core::JobDisposition::kCancelled;
+      cancelled.summary = "sched: job '" + item.name +
+                          "' cancelled between retry attempts";
       telemetry::count("sched.cancelled");
       TELEM_TRACE_INSTANT("sched.cancelled");
-      return Verdict::kCompleted;
+      return finish(std::move(cancelled));
     }
   }
 }
 
-bool Scheduler::failover_eligible(const RetryPolicy& retry,
-                                  const QueuedJob& item,
+bool Scheduler::failover_eligible(const QueuedJob& item,
                                   const Pool& pool) const {
-  return retry.cpu_fallback && !item.failed_over &&
+  return item.opts.retry.cpu_fallback && !item.failed_over &&
          pool.kind != core::AcceleratorKind::kClassicalCpu &&
          has_pool(core::AcceleratorKind::kClassicalCpu);
-}
-
-Scheduler::Verdict Scheduler::failover(QueuedJob&& item,
-                                       std::uint64_t attempts,
-                                       std::vector<std::string>&& fault_log) {
-  Pool* cpu = find_pool(core::AcceleratorKind::kClassicalCpu);
-  item.kind = core::AcceleratorKind::kClassicalCpu;
-  item.failed_over = true;
-  item.attempts_done = attempts;
-  item.fault_log = std::move(fault_log);
-  item.enqueued_at = Clock::now();
-  telemetry::count("sched.failover");
-  TELEM_TRACE_INSTANT("sched.failover");
-  // The re-submit hop in the job's flow chain: submit -> dequeue ->
-  // failover -> dequeue (cpu) -> complete.
-  TELEM_TRACE_FLOW_STEP("job", item.seq);
-  std::optional<QueuedJob> shed;
-  const auto status = cpu->queue.push(item, &shed);
-  if (shed)
-    complete_unrun(std::move(*shed), "shed by backpressure (queue full)",
-                   "sched.shed", core::JobDisposition::kShed);
-  switch (status) {
-    case BoundedJobQueue::PushStatus::kAccepted:
-      telemetry::gauge(cpu->depth_gauge,
-                       static_cast<core::Real>(cpu->queue.size()));
-      break;
-    case BoundedJobQueue::PushStatus::kRejected:
-      complete_unrun(std::move(item), "rejected by backpressure (queue full)",
-                     "sched.rejected", core::JobDisposition::kRejected);
-      break;
-    case BoundedJobQueue::PushStatus::kClosed:
-      complete_unrun(std::move(item), "not accepted: scheduler shut down",
-                     "sched.flushed", core::JobDisposition::kFlushed);
-      break;
-  }
-  return Verdict::kFailedOver;
 }
 
 Clock::duration Scheduler::backoff_delay(const RetryPolicy& retry,
@@ -791,13 +663,12 @@ void Scheduler::complete_unrun(QueuedJob&& item, const std::string& why,
                                core::JobDisposition disposition) {
   telemetry::count(metric);
   TELEM_TRACE_INSTANT(metric);  // metric names are literals: safe to record
-  core::JobResult result;
-  result.ok = false;
-  result.disposition = disposition;
-  result.summary = "sched: job '" + item.name + "' " + why;
-  result.attempts = item.attempts_done;
-  result.fault_log = std::move(item.fault_log);
-  settle(item, std::move(result));
+  JobOutcome outcome;
+  outcome.result.disposition = disposition;
+  outcome.result.summary = "sched: job '" + item.name + "' " + why;
+  outcome.result.attempts = item.attempts_done;
+  outcome.result.fault_log = std::move(item.fault_log);
+  settle(item, std::move(outcome));
 }
 
 void Scheduler::track_accept() {
@@ -820,7 +691,6 @@ void Scheduler::drain() {
 
 void Scheduler::shutdown() {
   std::call_once(shutdown_once_, [this] {
-    accepting_.store(false, std::memory_order_release);
     // The map lock only guards the close and the snapshot of the pool list:
     // add_pool refuses new pools from here on and pools are never removed,
     // so the joins and completions below run lock-free — a worker's
@@ -832,6 +702,9 @@ void Scheduler::shutdown() {
         pool->queue.close();
         pools.push_back(pool.get());
       }
+      // Cleared only once every queue is closed, so an observer that sees
+      // !accepting() knows no worker will pop another queued job.
+      accepting_.store(false, std::memory_order_release);
     }
     for (Pool* pool : pools)
       for (auto& thread : pool->threads)

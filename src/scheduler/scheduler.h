@@ -17,6 +17,10 @@
 //                      still-queued jobs with ok=false in deterministic
 //                      (priority, then FIFO) order; idempotent, run by ~
 //
+// One job lifecycle: every popped job — plain or sliced — passes the
+// dequeue gate (cancel, deadline), then the attempt loop, and leaves with
+// exactly one outcome: settled, re-queued after a yield, or failed over.
+//
 // Resilient execution (DESIGN.md §10): each attempt may be vetoed by the
 // worker's deterministic fault injector (core::FaultyAccelerator — wired
 // automatically when REBOOTING_FAULTS=<plan.json> is set) or refused by the
@@ -167,15 +171,17 @@ class Scheduler {
 
   /// Submits a slice-based job (DESIGN.md §12). The payload is invoked
   /// repeatedly; each invocation is one time slice. When it returns a
-  /// JobResult the job completes; when it returns std::nullopt ("yielded at
-  /// a checkpoint", signalled through the YieldProbe once a higher-priority
-  /// job is queued on this pool) the remainder is re-enqueued with its
-  /// original submission seq — so it resumes at the front of its priority
-  /// class — and the worker turns to the queue. Preemptible jobs bypass the
-  /// retry/fault/breaker machinery: a slice is cheap to re-run from its own
-  /// checkpoint, so resilience lives in the payload's checkpoint, not in
-  /// attempt bookkeeping. Cancellation and deadlines are honored between
-  /// slices (each slice re-transits the queue's pre-execution checks).
+  /// JobResult the attempt ends as a plain job's would; when it returns
+  /// std::nullopt ("yielded at a checkpoint", signalled through the
+  /// YieldProbe once a higher-priority job is queued on this pool) the
+  /// remainder is re-enqueued with its original submission seq — so it
+  /// resumes at the front of its priority class — and the worker turns to
+  /// the queue. Sliced jobs run through the
+  /// same attempt loop as every other job: breaker, fault injection, retry
+  /// and cpu_fallback apply. A yield consumes no attempt; a retried slice
+  /// resumes from the payload's own state. Cancellation and deadlines are
+  /// honored between slices (each slice re-transits the dequeue gate).
+  /// memo_key and coalesce_key are ignored.
   std::future<core::JobResult> submit_preemptible(std::string name,
                                                   core::AcceleratorKind kind,
                                                   PreemptiblePayload payload,
@@ -219,10 +225,19 @@ class Scheduler {
   std::string describe() const;
 
  private:
-  /// Per-worker-thread resilience state (one per replica).
+  /// Per-worker-thread state: the replica it owns and its breaker.
   struct Worker {
+    core::Accelerator& replica;
+    /// The replica's fault injector, when it carries one. Payloads receive
+    /// the *inner* accelerator (`target`), so typed downcasts still work.
+    core::FaultyAccelerator* faulty;
+    core::Accelerator& target;
     CircuitBreaker breaker;
-    explicit Worker(const BreakerConfig& config) : breaker(config) {}
+    Worker(core::Accelerator& r, const BreakerConfig& config)
+        : replica(r),
+          faulty(dynamic_cast<core::FaultyAccelerator*>(&r)),
+          target(faulty ? faulty->inner() : r),
+          breaker(config) {}
   };
 
   struct Pool {
@@ -239,47 +254,35 @@ class Scheduler {
          BackpressurePolicy policy);
   };
 
-  /// How one popped job left a worker.
+  /// How one popped job leaves the attempt loop.
   enum class Verdict {
-    kCompleted,   ///< `out` holds the JobResult; execute() settles the job
-    kThrew,       ///< already settled with the payload's exception
-    kFailedOver,  ///< job re-queued on (or completed by) the fallback pool
-    kYielded,     ///< preempted mid-job; remainder re-queued (or completed)
+    kSettled,     ///< the JobOutcome is final; execute() settles the job
+    kYielded,     ///< a slice yielded; the remainder goes back to its queue
+    kFailedOver,  ///< the job moves to the classical-cpu pool
   };
 
   Pool* find_pool(core::AcceleratorKind kind) const;
   static PoolStats snapshot_pool(const Pool& pool);
-  /// Shared tail of submit/submit_preemptible: assign seq, push, handle
-  /// backpressure verdicts.
-  void enqueue(QueuedJob item, Pool* pool);
-  void worker_loop(Pool& pool, core::Accelerator& replica, Worker& state,
-                   std::size_t replica_index);
-  /// Executes one dequeued job on this worker. `source` is the queue the job
-  /// was popped or stolen from (and owed a task_done by the caller); a
-  /// preempted remainder is re-enqueued there.
-  void execute(Pool& pool, BoundedJobQueue& source, core::Accelerator& replica,
-               core::Accelerator& target, core::FaultyAccelerator* faulty,
-               Worker& state, QueuedJob item);
-  /// One time slice of a preemptible job (no retry/fault machinery; see
-  /// submit_preemptible).
-  Verdict run_slice(Pool& pool, BoundedJobQueue& source,
-                    core::Accelerator& replica, core::Accelerator& target,
-                    QueuedJob& item, core::JobResult& out);
-  /// Picks the deepest other pool's queue and steals its best stealable job.
+  /// Shared tail of every submit: flight lookup, seq, the first push.
+  void admit(QueuedJob item);
+  /// The one push path (admission, yield re-queue, failover): `item` goes
+  /// onto `to`'s queue — through push_resumed when `yielded` — and whatever
+  /// the queue refuses or sheds is completed unrun. True when accepted.
+  bool push(Pool& to, QueuedJob& item, bool yielded);
+  void worker_loop(Pool& pool, Worker& worker, std::size_t replica_index);
+  /// The job lifecycle on one worker: gate (cancel/deadline), attempt loop,
+  /// then exactly one of settle, yield re-queue, or failover. `source` is the
+  /// pool the job was popped or stolen from; it owes that queue a task_done.
+  void execute(Pool& pool, Pool& source, Worker& worker, QueuedJob item);
+  /// Picks the deepest other pool and steals its best stealable job.
   std::optional<QueuedJob> steal_from_other_pool(const Pool& thief,
-                                                 BoundedJobQueue*& source);
-  /// The per-job retry/breaker/failover loop around payload execution.
-  Verdict run_attempts(Pool& pool, core::Accelerator& replica,
-                       core::Accelerator& target,
-                       core::FaultyAccelerator* faulty, Worker& state,
-                       QueuedJob& item, core::JobResult& out);
-  bool failover_eligible(const RetryPolicy& retry, const QueuedJob& item,
-                         const Pool& pool) const;
-  /// Re-homes a job onto the classical-cpu pool, carrying its attempt count
-  /// and fault log. The job's completion is either queued along with it or,
-  /// if the fallback queue refuses, run here — never abandoned.
-  Verdict failover(QueuedJob&& item, std::uint64_t attempts,
-                   std::vector<std::string>&& fault_log);
+                                                 Pool*& source);
+  /// Breaker, fault verdict, payload call, retry and backoff. A yield
+  /// consumes no attempt; attempts and the fault log live on `item`, so they
+  /// carry across yields and the failover hop.
+  Verdict run_attempts(Pool& pool, Pool& source, Worker& worker,
+                       QueuedJob& item, JobOutcome& out);
+  bool failover_eligible(const QueuedJob& item, const Pool& pool) const;
   Clock::duration backoff_delay(const RetryPolicy& retry, std::size_t attempt,
                                 std::uint64_t seq) const;
   /// Completes a job that will never run (shed / flushed / closed race).
@@ -293,8 +296,7 @@ class Scheduler {
   /// never outlive their leader, then runs the job's completion. Every
   /// outcome — result or exception — of every accepted job goes through
   /// here, called with no scheduler lock held.
-  void settle(QueuedJob& item, core::JobResult&& result,
-              std::exception_ptr thrown = nullptr);
+  void settle(QueuedJob& item, JobOutcome&& outcome);
   /// Removes the flight from the registry (no rider can attach afterwards),
   /// caches an ok + actually-executed result of a memo flight, and fans the
   /// outcome out to every rider — honoring each rider's own cancel/deadline

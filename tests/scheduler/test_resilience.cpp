@@ -660,6 +660,147 @@ TEST(ResilienceTelemetry, FailoverAndDegradedAreCounted) {
   telemetry::Telemetry::set_enabled(false);
 }
 
+// ------------------------------------------------ one job lifecycle ----
+
+// Sliced jobs (submit_preemptible) run through the same attempt loop as plain
+// ones: retries, fault verdicts and the job accounting apply to them too, and
+// a yield consumes no attempt.
+
+TEST(SlicedJobs, ThrownSliceIsRetriedFromItsOwnState) {
+  Scheduler scheduler;
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                     core::CpuAccelerator::factory());
+  struct Progress {
+    int calls = 0;
+    int steps = 0;
+  };
+  const auto progress = std::make_shared<Progress>();
+  // Call 1 advances and throws; call 2 (the retry) yields; call 3 finishes.
+  auto future = scheduler.submit_preemptible(
+      "sliced-throw", AcceleratorKind::kClassicalCpu,
+      [progress](core::Accelerator&,
+                 const YieldProbe&) -> std::optional<core::JobResult> {
+        ++progress->calls;
+        progress->steps += 5;
+        if (progress->calls == 1) throw std::runtime_error("slice crashed");
+        if (progress->calls == 2) return std::nullopt;
+        return ok_result("finished at step " +
+                         std::to_string(progress->steps));
+      },
+      retrying(2));
+  const core::JobResult r = future.get();
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.summary, "finished at step 15");  // state survived the throw
+  EXPECT_EQ(r.attempts, 2u);                    // the yield spent none
+  EXPECT_TRUE(r.degraded);
+  ASSERT_EQ(r.fault_log.size(), 1u);
+  EXPECT_EQ(r.fault_log[0], "attempt 1: payload threw");
+  EXPECT_EQ(progress->calls, 3);
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.slices, 3u);
+  EXPECT_EQ(stats.preempts, 1u);
+}
+
+TEST(SlicedJobs, TransientFaultVerdictIsRetried) {
+  // Pick a seed whose verdicts for the first job (seq 0) are "transient on
+  // attempt 1, clean on attempt 2".
+  std::uint64_t seed = 1;
+  for (;; ++seed) {
+    const auto plan = transient_plan(AcceleratorKind::kClassicalCpu, seed, 0.5);
+    if (plan->decide(AcceleratorKind::kClassicalCpu, 0, 1).kind ==
+            core::FaultKind::kTransient &&
+        plan->decide(AcceleratorKind::kClassicalCpu, 0, 2).kind ==
+            core::FaultKind::kNone)
+      break;
+  }
+  Scheduler scheduler;
+  scheduler.add_pool(
+      AcceleratorKind::kClassicalCpu, 1,
+      FaultyAccelerator::wrap(
+          core::CpuAccelerator::factory(),
+          transient_plan(AcceleratorKind::kClassicalCpu, seed, 0.5)));
+  const auto calls = std::make_shared<std::atomic<int>>(0);
+  auto future = scheduler.submit_preemptible(
+      "sliced-fault", AcceleratorKind::kClassicalCpu,
+      [calls](core::Accelerator&,
+              const YieldProbe&) -> std::optional<core::JobResult> {
+        calls->fetch_add(1);
+        return ok_result();
+      },
+      retrying(3));
+  const core::JobResult r = future.get();
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.attempts, 2u);
+  EXPECT_TRUE(r.degraded);
+  ASSERT_EQ(r.fault_log.size(), 1u);
+  EXPECT_EQ(r.fault_log[0].rfind("attempt 1: ", 0), 0u) << r.fault_log[0];
+  EXPECT_EQ(calls->load(), 1);  // the transient attempt never ran the slice
+}
+
+TEST(SlicedJobs, DefaultOptionsYieldsConsumeNoAttempt) {
+  Scheduler scheduler;
+  scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                     core::CpuAccelerator::factory());
+  const auto calls = std::make_shared<std::atomic<int>>(0);
+  auto future = scheduler.submit_preemptible(
+      "sliced-yields", AcceleratorKind::kClassicalCpu,
+      [calls](core::Accelerator&,
+              const YieldProbe&) -> std::optional<core::JobResult> {
+        if (calls->fetch_add(1) < 3) return std::nullopt;
+        return ok_result();
+      });
+  const core::JobResult r = future.get();
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_FALSE(r.degraded);
+  EXPECT_TRUE(r.fault_log.empty());
+  EXPECT_EQ(calls->load(), 4);
+}
+
+TEST(ResilienceTelemetry, SchedJobsCountsEachExecutedJobOnce) {
+  telemetry::Telemetry::set_enabled(true);
+  telemetry::Telemetry::instance().reset();
+  {
+    Scheduler scheduler;
+    scheduler.add_pool(AcceleratorKind::kClassicalCpu, 1,
+                       core::CpuAccelerator::factory());
+    scheduler.submit(cpu_job("succeeds", [] { return ok_result(); })).wait();
+    scheduler.submit(cpu_job("fails", [] { return bad_result(); })).wait();
+    scheduler
+        .submit(cpu_job("throws",
+                        []() -> core::JobResult {
+                          throw std::runtime_error("boom");
+                        }))
+        .wait();
+    auto yields = std::make_shared<int>(0);
+    scheduler
+        .submit_preemptible(
+            "sliced", AcceleratorKind::kClassicalCpu,
+            [yields](core::Accelerator&,
+                     const YieldProbe&) -> std::optional<core::JobResult> {
+              if ((*yields)++ < 3) return std::nullopt;
+              return ok_result();
+            })
+        .wait();
+    // A job cancelled before it runs never reaches the device: not counted.
+    JobOptions cancelled;
+    cancelled.cancel = CancelToken();
+    cancelled.cancel->cancel();
+    scheduler.submit(cpu_job("cancelled", [] { return ok_result(); }),
+                     cancelled)
+        .wait();
+  }
+  const auto& metrics = telemetry::Telemetry::instance().metrics();
+  EXPECT_DOUBLE_EQ(metrics.counter("sched.jobs"), 4.0);
+  EXPECT_DOUBLE_EQ(metrics.counter("sched.jobs.classical-cpu"), 4.0);
+  EXPECT_DOUBLE_EQ(metrics.counter("sched.jobs_failed"), 1.0);
+  EXPECT_DOUBLE_EQ(metrics.counter("sched.slices"), 4.0);
+  EXPECT_DOUBLE_EQ(metrics.counter("sched.cancelled"), 1.0);
+  EXPECT_EQ(metrics.histogram("sched.service_seconds").count, 7u);
+  telemetry::Telemetry::instance().reset();
+  telemetry::Telemetry::set_enabled(false);
+}
+
 // ------------------------------------------- mid-slice preemption chaos ----
 
 // The scheduler-level leg of the DESIGN.md §12 guarantee (the process-death

@@ -276,7 +276,9 @@ TEST(SchedulerLifecycle, ShutdownFinishesInFlightAndFlushesQueued) {
   auto q2 = pool.scheduler.submit(cpu_job("q2", [] { return ok_result(); }));
   auto q3 = pool.scheduler.submit(cpu_job("q3", [] { return ok_result(); }));
   std::thread closer([&] { pool.scheduler.shutdown(); });
-  std::this_thread::sleep_for(10ms);  // shutdown is now waiting on the worker
+  // !accepting() is published only after every queue is closed, so once it
+  // reads false the worker can no longer pop the queued jobs.
+  while (pool.scheduler.accepting()) std::this_thread::sleep_for(1ms);
   pool.open_gate();
   closer.join();
   EXPECT_TRUE(pool.blocker.get().ok);  // in-flight job finished normally
@@ -730,7 +732,9 @@ TEST(SchedulerStats, DispositionsAreTyped) {
   EXPECT_EQ(r.disposition, core::JobDisposition::kRejected);
 
   std::thread closer([&] { pool.scheduler.shutdown(); });
-  std::this_thread::sleep_for(10ms);  // shutdown is now waiting on the worker
+  // !accepting() is published only after every queue is closed, so once it
+  // reads false the worker can no longer pop the queued jobs.
+  while (pool.scheduler.accepting()) std::this_thread::sleep_for(1ms);
   pool.open_gate();
   closer.join();  // "queued" was flushed, the blocker finished normally
   auto q = queued.get();
